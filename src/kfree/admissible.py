@@ -9,6 +9,12 @@ per prime, on bitmask survivor sets, with the incumbent seeded from a shift
 scan; ties between maximizing witnesses are broken toward the
 lexicographically smallest (ascending primes, then ascending residue) by a
 deterministic post-pass.
+
+Both the search and the post-pass prune on one lower bound for the survivors
+the remaining primes must still remove (``_forced_loss``), the larger of two:
+the single bound, the largest per-prime least class hit, and the pairwise
+(Bonferroni) bound, the sum of those least hits less ceil(x / (p^k q^k)) for
+each pair of remaining primes p < q.
 """
 
 import time
@@ -78,6 +84,7 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
 
     deadline = None if time_budget is None else time.monotonic() + time_budget
     order = sorted(primes, reverse=True)
+    pair_caps = _pair_cap_suffixes(x, [p**k for p in order])
     exhausted = True
 
     def descend(idx: int, survivors: int, chosen: dict[int, int]) -> None:
@@ -93,15 +100,7 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
                 best_value = alive
                 best_leaf = dict(chosen)
             return
-        # admissible bound: each remaining prime must remove at least its
-        # min class hit, and those removals can overlap, so only the largest
-        # single forced loss is a sound optimistic estimate
-        forced = 0
-        for p in order[idx:]:
-            m = min((survivors & mask).bit_count() for mask in masks[p])
-            if m > forced:
-                forced = m
-        if alive - forced <= best_value:
+        if alive - _forced_loss(survivors, order[idx:], masks, pair_caps[idx]) <= best_value:
             return
         p = order[idx]
         ranked = sorted(range(p**k), key=lambda c: (survivors & masks[p][c]).bit_count())
@@ -119,34 +118,56 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     return AdmissibleMaxResult(x, k, best_value, witness, EXACT)
 
 
-def _attainable(survivors: int, rest, masks, target: int) -> bool:
-    """Can some completion over the remaining primes keep >= target alive?"""
+def _pair_cap_suffixes(x: int, moduli: list[int]) -> list[int]:
+    """caps[i] = sum over i <= a < b of ceil(x / (moduli[a] * moduli[b])),
+    with caps[len(moduli)] = 0."""
+    caps = [0] * (len(moduli) + 1)
+    for i in range(len(moduli) - 1, -1, -1):
+        caps[i] = caps[i + 1] + sum(-(-x // (moduli[i] * m)) for m in moduli[i + 1 :])
+    return caps
+
+
+def _forced_loss(survivors: int, rest, masks, pair_caps: int) -> int:
+    """Lower bound on the survivors that any choice of one class per prime in
+    the non-empty ``rest`` removes; ``pair_caps`` is the pairwise cap sum
+    over ``rest``.
+
+    Sound because a class mod p^k and a class mod q^k meet in exactly one
+    class mod p^k q^k (CRT), so they share at most ceil(x / (p^k q^k))
+    elements of [1, x]; by Bonferroni the union of the removed sets S_p has
+    at least sum |S_p| - sum_{p<q} |S_p & S_q| elements, and it has at least
+    max |S_p| elements.  Each |S_p| is at least its prime's least class hit.
+    """
+    mins = [min((survivors & mask).bit_count() for mask in masks[p]) for p in rest]
+    return max(max(mins), sum(mins) - pair_caps)
+
+
+def _attainable(survivors: int, rest, masks, pair_caps, target: int) -> bool:
+    """Can some completion over the remaining primes keep >= target alive?
+    ``pair_caps`` holds the pairwise cap suffix sums aligned with ``rest``."""
     if survivors.bit_count() < target:
         return False
     if not rest:
         return True
-    forced = 0
-    for p in rest:
-        m = min((survivors & mask).bit_count() for mask in masks[p])
-        if m > forced:
-            forced = m
-    if survivors.bit_count() - forced < target:
+    if survivors.bit_count() - _forced_loss(survivors, rest, masks, pair_caps[0]) < target:
         return False
     p = rest[0]
     ranked = sorted(range(len(masks[p])), key=lambda c: (survivors & masks[p][c]).bit_count())
     return any(
-        _attainable(survivors & ~masks[p][c], rest[1:], masks, target) for c in ranked
+        _attainable(survivors & ~masks[p][c], rest[1:], masks, pair_caps[1:], target)
+        for c in ranked
     )
 
 
 def _lexicographic_witness(primes, masks, full: int, value: int) -> dict[int, int]:
     """Smallest witness achieving the optimum: ascending primes, ascending residue."""
+    pair_caps = _pair_cap_suffixes(full.bit_length(), [len(masks[p]) for p in primes])
     survivors = full
     witness = {}
     for i, p in enumerate(primes):
         rest = primes[i + 1 :]
         for c in range(len(masks[p])):
-            if _attainable(survivors & ~masks[p][c], rest, masks, value):
+            if _attainable(survivors & ~masks[p][c], rest, masks, pair_caps[i + 1 :], value):
                 witness[p] = c
                 survivors &= ~masks[p][c]
                 break
@@ -188,17 +209,14 @@ def admissible_max_lower_shift(
     if not candidates:
         raise ValueError("no shifts to try: give explicit shifts or random draws")
 
+    moduli = [p**k for p in primes]
     best_count, best_shift = -1, 0
     for y in candidates:
         survivors = bytearray([1]) * (x + 1)
-        for p in primes:
-            q = p**k
-            first = (-y) % q
-            if first == 0:
-                first = q
-            for a in range(first, x + 1, q):
-                survivors[a] = 0
-        count = sum(survivors) - survivors[0]
+        for q in moduli:
+            first = (-y) % q or q  # q <= x, so the class has a member in [1, x]
+            survivors[first::q] = bytes((x - first) // q + 1)
+        count = survivors.count(1) - survivors[0]
         if count > best_count:
             best_count, best_shift = count, y
     return best_count, best_shift

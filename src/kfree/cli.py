@@ -232,22 +232,27 @@ def _cmd_sieve_bound(args, out) -> int:
     return 0
 
 
+def _index_range(text: str) -> tuple[int, int]:
+    """argparse type for ``lo:hi``; a malformed range is a usage error."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected lo:hi with integer ends, got {text!r}") from None
+
+
 def _cmd_crosscheck(args, out) -> int:
     rules = load_manifest(args.manifest)
     ids = args.ids or sorted(rules)
     if args.bfile and len(ids) != 1:
         raise ValueError("--bfile needs exactly one --id")
-    index_range = None
-    if args.range:
-        lo, _, hi = args.range.partition(":")
-        index_range = (int(lo), int(hi))
     failures = 0
     for sequence_id in ids:
         if sequence_id not in rules:
             print(f"{sequence_id}: no manifest rule", file=sys.stderr)
             return 1
         bfile = load_bfile(sequence_id, args.bfile if len(ids) == 1 else None)
-        report = crosscheck(bfile, rules[sequence_id], index_range, args.budget)
+        report = crosscheck(bfile, rules[sequence_id], args.range, args.budget)
         print(report.summary(), file=out)
         for index, expected, actual in report.mismatches:
             print(f"  index {index}: file has {expected}, computed {actual}", file=out)
@@ -375,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", dest="ids", action="append", default=None, metavar="A013928")
     p.add_argument("--bfile", default=None, help="explicit b-file path (single id only)")
     p.add_argument("--manifest", default=None)
-    p.add_argument("--range", default=None, help="lo:hi index range")
+    p.add_argument("--range", type=_index_range, default=None, help="lo:hi index range")
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=_cmd_crosscheck)
 

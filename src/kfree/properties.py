@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetError, NotAdmissibleError
+from .errors import BudgetError, KfreeError, NotAdmissibleError
 from .sieve import (
     ResidueClass,
     build_prime_table,
@@ -255,7 +255,7 @@ def _check_named_certificate(tag: str, p: int, cls: ResidueClass) -> None:
     j0 = named_sequence_first_index(tag)
     for j in range(j0, j0 + horizon):
         if _named_term_mod(tag, j, cls.modulus) == cls.residue:
-            raise AssertionError(f"certificate {cls} hit by {tag} term j={j}")
+            raise KfreeError(f"certificate {cls} hit by {tag} term j={j}")
 
 
 def _order_of_two(modulus: int) -> int:

@@ -87,3 +87,17 @@ def admissible_max_flat(x, k=2):
             removed |= mask
         best = max(best, x - removed.bit_count())
     return best
+
+
+def min_removed_flat(k, survivors, primes):
+    """Fewest elements of the integer set ``survivors`` that removing
+    one class mod p^k for every prime in ``primes`` can strike, by
+    exhausting every residue-choice tuple."""
+    class_sets = []
+    for p in primes:
+        q = p**k
+        class_sets.append([{a for a in survivors if a % q == c} for c in range(q)])
+    best = len(survivors)
+    for choice in product(*class_sets):
+        best = min(best, len(set().union(*choice)))
+    return best

@@ -1,6 +1,12 @@
+import random
+
 import pytest
 
 from kfree.admissible import (
+    _class_masks,
+    _constraining_primes,
+    _forced_loss,
+    _pair_cap_suffixes,
     admissible_max_exact,
     admissible_max_lower_shift,
     admissible_max_upper_sieve,
@@ -8,7 +14,7 @@ from kfree.admissible import (
 )
 from kfree.sieve import count_power_free_upto
 
-from oracles import admissible_max_flat
+from oracles import admissible_max_flat, min_removed_flat
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +80,32 @@ class TestExact:
         assert admissible_max_exact(7, k=3).value == 7
         result = admissible_max_exact(8, k=3)
         assert result.value == 7 and set(result.witness) == {2}
+
+
+class TestForcedLoss:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_never_exceeds_true_minimum_loss(self, k):
+        rng = random.Random(k)
+        checked = 0
+        while checked < 150:
+            x = rng.randrange(1, 41)
+            primes = _constraining_primes(x, k)
+            if not primes:
+                continue
+            order = rng.sample(primes, len(primes))
+            caps = _pair_cap_suffixes(x, [p**k for p in order])
+            idx = rng.randrange(len(order))
+            density = rng.random()
+            alive = {a for a in range(1, x + 1) if rng.random() < density}
+            survivors = sum(1 << (a - 1) for a in alive)
+            bound = _forced_loss(survivors, order[idx:], _class_masks(x, k, primes), caps[idx])
+            assert bound <= min_removed_flat(k, alive, order[idx:]), (x, order[idx:], alive)
+            checked += 1
+
+    def test_pair_cap_suffixes(self):
+        # x = 40, moduli 4, 9, 25: ceil(40/36) + ceil(40/100) + ceil(40/225) = 2 + 1 + 1
+        assert _pair_cap_suffixes(40, [4, 9, 25]) == [4, 1, 0, 0]
+        assert _pair_cap_suffixes(40, []) == [0]
 
 
 class TestLowerShift:

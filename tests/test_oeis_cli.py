@@ -187,6 +187,12 @@ class TestCli:
             main(["no-such-command"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("bad_range", ["5", "a:b"])
+    def test_malformed_range_is_usage_error(self, bad_range):
+        with pytest.raises(SystemExit) as info:
+            main(["crosscheck", "--id", "A083544", "--range", bad_range])
+        assert info.value.code == 2
+
     def test_computation_error_exit_1(self):
         code, _ = run_cli(["construct", "P", "--count", "-3"])
         assert code == 1

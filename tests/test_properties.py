@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from kfree.errors import NotAdmissibleError
+from kfree.errors import KfreeError, NotAdmissibleError
 from kfree.properties import (
+    _check_named_certificate,
     AvoidanceCertificate,
     FiniteSet,
     NoWitness,
@@ -127,6 +128,11 @@ class TestNamedSequences:
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError):
             named_sequence_certificate("A1", 6)
+
+    def test_hit_certificate_raises_kfree_error(self):
+        # A1's first term 2^1 + 1 = 3 lies in the class 3 mod 9
+        with pytest.raises(KfreeError, match="hit by A1 term j=1"):
+            _check_named_certificate("A1", 3, ResidueClass(3, 9))
 
 
 class TestTranslateWitness:
