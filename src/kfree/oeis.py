@@ -10,12 +10,13 @@ explicit rule in a checked-in manifest.
 """
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
 from .admissible import admissible_max_exact
 from .properties import named_sequence_term
-from .sieve import count_power_free_upto, kfree_window
+from .sieve import count_power_free_upto
 
 CACHE_ENV = "KFREE_OEIS_CACHE"
 
@@ -135,23 +136,15 @@ def load_manifest(path: str | None = None) -> dict[str, ManifestRule]:
     return rules
 
 
-class _NthKFree:
-    """Streaming n-th k-free lookup, windowed so memory stays flat."""
+def _nth_squarefree(n: int) -> int:
+    """n-th squarefree number: the least x with count_power_free_upto(x) >= n.
 
-    def __init__(self, k: int = 2):
-        self.k = k
-        self.values: list[int] = []
-        self._next_start = 1
-
-    def __call__(self, n: int) -> int:
-        while len(self.values) < n:
-            window = kfree_window(self._next_start, 1 << 14, self.k)
-            self.values.extend(window.members())
-            self._next_start += 1 << 14
-        return self.values[n - 1]
-
-
-_NTH_CACHE: dict[int, _NthKFree] = {}
+    It lies in [n, 2n]: at most sum_p floor(2n / p^2) <= 0.46 * 2n integers
+    up to 2n are divisible by a prime square, so at least n are squarefree.
+    """
+    if n < 1:
+        raise ValueError("index must be >= 1")
+    return bisect_left(range(2 * n + 1), n, lo=n, key=count_power_free_upto)
 
 
 def computed_value(rule: ManifestRule, index: int, time_budget: float | None = None):
@@ -159,8 +152,7 @@ def computed_value(rule: ManifestRule, index: int, time_budget: float | None = N
         # counts k-free numbers strictly below the index
         return count_power_free_upto(index - 1)
     if rule.quantity == SF_NTH:
-        nth = _NTH_CACHE.setdefault(2, _NthKFree(2))
-        return nth(index)
+        return _nth_squarefree(index)
     if rule.quantity == A_OF_X:
         return admissible_max_exact(index, time_budget=time_budget).value
     if rule.quantity == NAMED_TERM:

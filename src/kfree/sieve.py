@@ -3,6 +3,12 @@
 Everything here is exact integer work; floating point appears only in the
 density main term x / zeta(k).  Operations that need primes beyond their
 table raise :class:`~kfree.errors.CoverageError` rather than guessing.
+
+k-free windows are sieved by striking the multiples of p**k.  The count
+Q_k(x) of k-free integers up to x is not a sweep over [1, x]: it is the
+Moebius sum Q_k(x) = sum_{d <= x^(1/k)} mu(d) * floor(x / d^k), which costs
+O(x^(1/k) log log x) time, with mu(d) sieved block by block from the primes
+up to x^(1/(2k)).
 """
 
 from dataclasses import dataclass
@@ -11,12 +17,19 @@ from math import gcd, isqrt, log, pi
 
 from .errors import CoverageError, ResourceError
 
-# Segment size for counting sweeps; a power of two so memory stays bounded
-# no matter how large x gets.
+# Block length of the Moebius sieve behind counting; it bounds that sieve's
+# memory no matter how large x gets.
 DEFAULT_SEGMENT = 1 << 16
 
-# Cap on the byte array backing a prime table (one byte per candidate).
+# Cap on the byte array backing a prime table or a k-free window (one byte per
+# integer), and on the number of terms of a counting sum.
 PRIME_TABLE_BYTE_CAP = 200_000_000
+
+
+def _require_bytes(size: int, what: str) -> None:
+    """Refuse, before allocating, a request for more than the byte cap."""
+    if size > PRIME_TABLE_BYTE_CAP:
+        raise ResourceError(f"{what} exceeds the {PRIME_TABLE_BYTE_CAP}-byte budget")
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -72,10 +85,7 @@ def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to ``limit`` inclusive."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit + 1 > PRIME_TABLE_BYTE_CAP:
-        raise ResourceError(
-            f"prime table up to {limit} exceeds the {PRIME_TABLE_BYTE_CAP}-byte budget"
-        )
+    _require_bytes(limit + 1, f"prime table up to {limit}")
     if limit < 2:
         return PrimeTable(limit, ())
     flags = bytearray([1]) * (limit + 1)
@@ -160,6 +170,7 @@ def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None =
         raise ValueError("k must be >= 2")
     if length == 0:
         return KFreeWindow(start, 0, k, b"")
+    _require_bytes(length, f"window of length {length}")
     top = start + length - 1
     root = integer_kth_root(top, k)
     table = _table_for(root, table)
@@ -174,24 +185,59 @@ def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None =
     return KFreeWindow(start, length, k, bytes(flags))
 
 
+def _mobius_block(lo: int, hi: int, table: PrimeTable) -> list[int]:
+    """mu(d) for lo <= d < hi, striking the primes p with p * p < hi.
+
+    Each entry starts as 1; a struck prime negates it and multiplies it by p,
+    and a struck square sets it to 0.  A squarefree d whose entry is not +-d
+    then has exactly one prime factor left, above sqrt(d), which flips mu.
+    """
+    n = hi - lo
+    signed = [1] * n
+    for p in table.primes:
+        q = p * p
+        if q >= hi:
+            break
+        first = -lo % p
+        signed[first::p] = [-v * p for v in signed[first::p]]
+        first = -lo % q
+        signed[first::q] = [0] * len(range(first, n, q))
+    mu = []
+    for d, v in zip(range(lo, hi), signed):
+        sign = (v > 0) - (v < 0)
+        mu.append(sign if v == d or v == -d else -sign)
+    return mu
+
+
 def count_power_free_upto(
     x: int,
     k: int = 2,
     table: PrimeTable | None = None,
     segment: int = DEFAULT_SEGMENT,
 ) -> int:
-    """Exact count of k-free integers in [1, x], by segmented window sieving."""
+    """Exact count of k-free integers in [1, x].
+
+    Sums mu(d) * floor(x / d^k) over d <= r = x^(1/k) (the k-th powers of the
+    squarefree d include-exclude the multiples of p^k), in O(r log log r)
+    time.  mu is sieved in blocks of ``segment`` consecutive d, which bounds
+    memory to O(segment); the primes used go up to sqrt(r), and a supplied
+    ``table`` that stops short of them raises CoverageError.  A sum of more
+    than ``PRIME_TABLE_BYTE_CAP`` terms raises ResourceError before any work.
+    """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0
-    table = _table_for(integer_kth_root(x, k), table)
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if segment < 1:
+        raise ValueError("segment must be >= 1")
+    root = integer_kth_root(x, k)
+    _require_bytes(root, f"Moebius sum over d <= {root}")
+    table = _table_for(isqrt(root), table)
     total = 0
-    y = 1
-    while y <= x:
-        length = min(segment, x - y + 1)
-        total += kfree_window(y, length, k, table).count()
-        y += length
+    for lo in range(1, root + 1, segment):
+        hi = min(lo + segment, root + 1)
+        mu = _mobius_block(lo, hi, table)
+        total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
     return total
 
 

@@ -13,7 +13,9 @@ from kfree.oeis import (
     load_bfile,
     load_manifest,
     parse_oeis_bfile,
+    _nth_squarefree,
 )
+from kfree.sieve import kfree_window
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "figure_shift_30.csv")
 
@@ -217,3 +219,37 @@ class TestCli:
         code, text = run_cli(["admissible-max", "--x", "10", "--format", "json"])
         assert code == 0
         assert '"value": 8' in text
+
+
+def test_nth_squarefree_matches_window_sieve():
+    members = kfree_window(1, 5000).members()
+    assert [_nth_squarefree(n) for n in range(1, len(members) + 1)] == members
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve-count", "--x", "100000000", "--k", "1"],
+        ["sieve-count", "--x", "100", "--k", "0"],
+        ["sieve-count", "--x", "-5"],
+        ["sieve-count", "--x", "1" + "0" * 30],
+    ],
+)
+def test_bad_count_input_exits_1(argv, capsys):
+    code, text = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_integer_count_input_exits_2():
+    with pytest.raises(SystemExit) as info:
+        main(["sieve-count", "--x", "abc"])
+    assert info.value.code == 2
+
+
+def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+    code, text = run_cli(["construct", "sample-counter", "--xmax", str(10**5)])
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err.startswith("error: window of length")

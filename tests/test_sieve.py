@@ -231,3 +231,61 @@ def test_count_class_never_exceeds_density_bound():
             for n in range(lo, hi + 1)
             if all(n % c.modulus == c.residue for c in classes)
         )
+
+
+# Published squarefree counts Q_2(10^n), n = 0..12 (OEIS A071172).
+SQUAREFREE_POWERS_OF_TEN = [
+    1, 7, 61, 608, 6083, 60794, 607926, 6079291, 60792694, 607927124,
+    6079270942, 60792710280, 607927102274,
+]
+
+# Cubefree counts Q_3(10^n), n = 0..8, from a full segmented window sieve.
+CUBEFREE_POWERS_OF_TEN = [1, 9, 85, 833, 8319, 83190, 831910, 8319081, 83190727]
+
+
+def test_count_squarefree_powers_of_ten():
+    assert [count_power_free_upto(10**n) for n in range(13)] == SQUAREFREE_POWERS_OF_TEN
+
+
+def test_count_cubefree_powers_of_ten():
+    assert [count_power_free_upto(10**n, 3) for n in range(9)] == CUBEFREE_POWERS_OF_TEN
+
+
+def test_count_matches_window_sieve_random():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        x = rng.randrange(0, 3 * 10**5 + 1)
+        k = rng.choice((2, 3, 4))
+        expected = sum(kfree_window(1, x, k).flags)
+        for segment in (1, 7, rng.randrange(2, 2000)):
+            assert count_power_free_upto(x, k, segment=segment) == expected, (x, k, segment)
+
+
+def test_count_table_needs_primes_to_root_of_root():
+    # Q_2(10^8) sums over d <= 10^4, whose Moebius sieve strikes primes <= 100
+    with pytest.raises(CoverageError):
+        count_power_free_upto(10**8, 2, build_prime_table(99))
+    assert count_power_free_upto(10**8, 2, build_prime_table(100)) == 60792694
+
+
+def test_count_validates_before_any_work(monkeypatch):
+    def no_table(limit):
+        raise AssertionError(f"built a prime table up to {limit}")
+
+    monkeypatch.setattr("kfree.sieve.build_prime_table", no_table)
+    for x, k in ((10**8, 1), (10**8, 0), (10**30, 1)):
+        with pytest.raises(ValueError, match="k must be"):
+            count_power_free_upto(x, k)
+    with pytest.raises(ValueError, match="x must be"):
+        count_power_free_upto(-5)
+    with pytest.raises(ValueError, match="segment"):
+        count_power_free_upto(100, segment=0)
+    with pytest.raises(ResourceError):
+        count_power_free_upto(10**30)
+
+
+def test_kfree_window_byte_cap(monkeypatch):
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+    with pytest.raises(ResourceError):
+        kfree_window(1, 10**5)
+    assert kfree_window(1, 10**4).count() == count_power_free_upto(10**4)
