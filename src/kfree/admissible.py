@@ -28,6 +28,7 @@ from .sieve import (
     crt_combine,
     integer_kth_root,
     ResidueClass,
+    translate_flags,
 )
 
 EXACT = "EXACT"
@@ -209,14 +210,9 @@ def admissible_max_lower_shift(
     if not candidates:
         raise ValueError("no shifts to try: give explicit shifts or random draws")
 
-    moduli = [p**k for p in primes]
     best_count, best_shift = -1, 0
     for y in candidates:
-        survivors = bytearray([1]) * (x + 1)
-        for q in moduli:
-            first = (-y) % q or q  # q <= x, so the class has a member in [1, x]
-            survivors[first::q] = bytes((x - first) // q + 1)
-        count = survivors.count(1) - survivors[0]
+        count = translate_flags(y + 1, x, (0,), primes, k).count(1)
         if count > best_count:
             best_count, best_shift = count, y
     return best_count, best_shift

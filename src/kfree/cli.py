@@ -169,6 +169,8 @@ def _cmd_verify_named(args, out) -> int:
         )
         return 0
     if args.mode == "q-witness":
+        if args.prefix < 1:
+            raise ValueError("q-witness needs --prefix >= 1")
         prefix = named_sequence_prefix(args.tag, args.prefix)
         report = suff_witness_search(
             prefix, prefix[-1], theta=args.theta, interval=args.interval
@@ -202,6 +204,8 @@ def _cmd_construct(args, out) -> int:
         print(json.dumps({"size": len(sample), "elements": list(sample)}), file=out)
         return 0
     if args.construction == "overp":
+        if args.cap < 0:
+            raise ValueError("--cap must be nonnegative")
         if args.depth is not None:
             result = overp_sequence(args.scale, args.depth, induced_cap=args.cap)
             print(
@@ -279,6 +283,8 @@ def random_sqsieve_instance(rng):
 
 
 def _cmd_verify_appendix(args, out) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):

@@ -15,11 +15,8 @@ from random import Random
 from .errors import BudgetError, NotAdmissibleError
 from .properties import (
     Certification,
-    FULL,
     NoWitness,
     NotAdmissible,
-    PI_CERTIFIED,
-    TraceEntry,
     WitnessReport,
     admissibility_certificate,
     as_elements,
@@ -33,6 +30,7 @@ from .sieve import (
     kfree_window,
     nth_prime,
     smallest_power_divisor,
+    translate_flags,
 )
 
 # Growth functions selectable from the command line; arbitrary callables are
@@ -212,7 +210,9 @@ def suff_witness_search(
     of the avoided classes, candidates run over n = -b (mod W) inside the
     chosen interval (HALF: [x/2, x]; FORWARD: (x, x + x^(num/den)) with the
     exponent taken from ``forward_exponent``), in increasing order, or in
-    seeded random order when a seed is given.
+    seeded random order when a seed is given.  All candidates are sieved at
+    once over the primes not dividing W; the avoided classes already keep
+    n + a off 0 mod p^k for the primes that do.
     """
     elements = as_elements(values)
     if not 0 < theta < 0.25:
@@ -254,40 +254,22 @@ def suff_witness_search(
     first = lo + (target - lo) % modulus
     if (hi - first) // modulus + 1 > 10_000_000:
         raise BudgetError("candidate list too long; raise theta or shrink the interval")
-    candidates = list(range(first, hi + 1, modulus))
-    if seed is not None:
-        Random(seed).shuffle(candidates)
-
-    max_a = relevant[-1] if relevant else 0
-    full_cutoff = integer_kth_root(hi + max_a, k) if relevant else 0
-    if prime_cutoff is None or prime_cutoff >= full_cutoff:
-        cutoff, level = full_cutoff, FULL
+    count = len(range(first, hi + 1, modulus))
+    needed = integer_kth_root(hi + relevant[-1], k) if relevant else 0
+    certification = Certification.checked_to(needed, prime_cutoff)
+    primes = [p for p in build_prime_table(certification.prime_cutoff).primes if modulus % p]
+    good = translate_flags(first, count, relevant, primes, k, step=modulus)
+    if seed is None:
+        i = good.find(1)
     else:
-        cutoff, level = prime_cutoff, PI_CERTIFIED
-    certification = Certification(level, cutoff)
-    table = build_prime_table(max(cutoff, 2))
-
-    examined = 0
-    for n in candidates:
-        examined += 1
-        trace = []
-        good = True
-        for a in relevant:
-            shifted = n + a
-            divisor = None
-            for p in table.primes:
-                if p > cutoff or p**k > shifted:
-                    break
-                if shifted % p**k == 0:
-                    divisor = p
-                    break
-            trace.append(TraceEntry(a, shifted, divisor))
-            if divisor is not None:
-                good = False
-                break
-        if good:
-            return WitnessReport(n, certification, tuple(trace))
-    return NoWitness(examined)
+        # the shuffle permutes by position only, so shuffling the indices
+        # visits the candidates in the same order as shuffling their values
+        order = list(range(count))
+        Random(seed).shuffle(order)
+        i = next((j for j in order if good[j]), -1)
+    if i < 0:
+        return NoWitness(count)
+    return WitnessReport.sieved(first + i * modulus, certification, relevant)
 
 
 # --- dense anchors: iterated key construction ----------------------------------
@@ -614,28 +596,12 @@ def overp_sequence(
         previous = anchor
 
     window = kfree_window(1, induced_cap, k)
-    bad = bytearray(induced_cap)
-    if anchors:
-        needed = integer_kth_root(anchors[-1] + induced_cap, k)
-        cutoff = min(needed, verify_prime_cap)
-        certification = Certification(
-            FULL if needed <= verify_prime_cap else PI_CERTIFIED, cutoff
-        )
-        table = build_prime_table(max(cutoff, 2))
-        for n in anchors:
-            for p in table.primes:
-                q = p**k
-                if q > n + induced_cap:
-                    break
-                first = -n % q
-                if first == 0:
-                    first = q
-                for a in range(first, induced_cap + 1, q):
-                    bad[a - 1] = 1
-    else:
-        certification = Certification(FULL, 0)
+    needed = integer_kth_root(anchors[-1] + induced_cap, k) if anchors else 0
+    certification = Certification.checked_to(needed, verify_prime_cap)
+    primes = build_prime_table(certification.prime_cutoff).primes
+    good = translate_flags(1, induced_cap, anchors, primes, k)
     induced = tuple(
-        a for a in range(1, induced_cap + 1) if window.flags[a - 1] and not bad[a - 1]
+        a for a in range(1, induced_cap + 1) if window.flags[a - 1] and good[a - 1]
     )
     return OverPSequence(
         thresholds, tuple(anchors), induced, induced_cap, certification

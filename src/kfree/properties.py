@@ -2,6 +2,11 @@
 meet the k-free numbers: admissibility certificates, translate witnesses,
 pairwise-sum checks, and evidence tables.
 
+Translate witnesses and evidence tables are sieved, not trial-divided: the
+shifts n with p^k | n + a form the class -a mod p^k, struck by
+:func:`~kfree.sieve.translate_flags`.  Which primes a witness was checked
+against is recorded by one rule, :meth:`Certification.checked_to`.
+
 All searches are deterministic with fixed tie-breaking: smallest witness,
 smallest avoided residue, lexicographically first violation.
 """
@@ -15,7 +20,9 @@ from .sieve import (
     ResidueClass,
     build_prime_table,
     integer_kth_root,
+    kfree_window,
     smallest_power_divisor,
+    translate_flags,
 )
 
 FULL = "FULL"
@@ -71,6 +78,19 @@ class Certification:
     level: str
     prime_cutoff: int
 
+    @classmethod
+    def checked_to(cls, needed: int, prime_cutoff: int | None) -> "Certification":
+        """The certification of a check over the primes up to ``prime_cutoff``
+        when primes up to ``needed`` could divide: FULL (with cutoff
+        ``needed``) once the cutoff reaches ``needed`` or is None, else
+        PI_CERTIFIED(prime_cutoff).  Callers check exactly the primes up to
+        the returned ``prime_cutoff``."""
+        if prime_cutoff is not None and prime_cutoff < 0:
+            raise ValueError("prime cutoff must be nonnegative")
+        if prime_cutoff is None or prime_cutoff >= needed:
+            return cls(FULL, needed)
+        return cls(PI_CERTIFIED, prime_cutoff)
+
     @property
     def is_full(self) -> bool:
         return self.level == FULL
@@ -82,7 +102,7 @@ class Certification:
 class TraceEntry(NamedTuple):
     element: int
     shifted: int
-    divisor: int | None  # smallest p with p^k | shifted among the checked primes
+    divisor: int | None  # always None on an emitted report: no checked p^k divides shifted
 
 
 @dataclass(frozen=True)
@@ -90,6 +110,11 @@ class WitnessReport:
     witness: int
     certification: Certification
     trace: tuple[TraceEntry, ...]
+
+    @classmethod
+    def sieved(cls, n: int, certification: Certification, elements) -> "WitnessReport":
+        """Report a witness n that survived the strike of every checked p^k."""
+        return cls(n, certification, tuple(TraceEntry(a, n + a, None) for a in elements))
 
     def __bool__(self) -> bool:
         return True
@@ -201,6 +226,8 @@ def named_sequence_first_index(tag: str) -> int:
 
 def named_sequence_prefix(tag: str, count: int) -> tuple[int, ...]:
     """First ``count`` terms, in increasing order."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     j0 = named_sequence_first_index(tag)
     return tuple(named_sequence_term(tag, j) for j in range(j0, j0 + count))
 
@@ -283,63 +310,26 @@ def find_translate_witness(
 
     k-freeness is checked against primes up to ``prime_cutoff`` (None means
     all primes that could divide, giving a FULL certification).  Bad n are
-    sieved out by marking the classes -a mod p^k instead of testing each
+    sieved out by striking the classes -a mod p^k instead of testing each
     candidate: the translate n + a is divisible by p^k exactly when
-    n = -a (mod p^k).
+    n = -a (mod p^k).  So no checked p^k divides any translate of the
+    witness, and every trace entry's divisor is None.
     """
     elements = as_elements(values)
     if lo < 1:
         raise ValueError("interval must start at 1 or later")
     if hi < lo:
         return NoWitness(0)
-    if hi - lo + 1 > range_cap:
-        raise BudgetError(f"scan range [{lo}, {hi}] exceeds cap {range_cap}")
-    max_a = elements[-1] if elements else 0
-    full_cutoff = integer_kth_root(hi + max_a, k) if elements else 0
-    if prime_cutoff is None:
-        cutoff, level = full_cutoff, FULL
-    elif prime_cutoff >= full_cutoff:
-        cutoff, level = full_cutoff, FULL
-    else:
-        cutoff, level = prime_cutoff, PI_CERTIFIED
-    certification = Certification(level, cutoff)
-
     length = hi - lo + 1
-    bad = bytearray(length)
-    if elements and cutoff >= 2:
-        table = build_prime_table(cutoff)
-        for p in table.primes:
-            q = p**k
-            if q > hi + max_a:
-                break
-            for a in elements:
-                first = (-a - lo) % q
-                if first < length:
-                    bad[first::q] = b"\x01" * len(range(first, length, q))
-    for i in range(length):
-        if not bad[i]:
-            n = lo + i
-            return WitnessReport(n, certification, _trace(n, elements, k, cutoff))
-    return NoWitness(length)
-
-
-def _trace(n: int, elements, k: int, cutoff: int) -> tuple[TraceEntry, ...]:
-    table = build_prime_table(max(cutoff, 2))
-    entries = []
-    for a in elements:
-        shifted = n + a
-        divisor = None
-        for p in table.primes:
-            if p > cutoff:
-                break
-            q = p**k
-            if q > shifted:
-                break
-            if shifted % q == 0:
-                divisor = p
-                break
-        entries.append(TraceEntry(a, shifted, divisor))
-    return tuple(entries)
+    if length > range_cap:
+        raise BudgetError(f"scan range [{lo}, {hi}] exceeds cap {range_cap}")
+    needed = integer_kth_root(hi + elements[-1], k) if elements else 0
+    certification = Certification.checked_to(needed, prime_cutoff)
+    primes = build_prime_table(certification.prime_cutoff).primes
+    i = translate_flags(lo, length, elements, primes, k).find(1)
+    if i < 0:
+        return NoWitness(length)
+    return WitnessReport.sieved(lo + i, certification, elements)
 
 
 def check_q_prefix(
@@ -417,17 +407,16 @@ def property_p_evidence(values, n_max: int, k: int = 2) -> dict[int, int]:
     """For each shift n <= n_max, how many elements a have n + a k-free.
 
     An empirical probe: a set all of whose translates eventually miss the
-    k-free numbers shows uniformly small counts here.
+    k-free numbers shows uniformly small counts here.  One k-free window over
+    [1 + min A, n_max + max A] serves every translate, so a request longer
+    than the window byte cap raises ResourceError before allocating.
     """
     elements = as_elements(values)
     if n_max < 1:
         return {}
-    table = None
-    if elements:
-        table = build_prime_table(integer_kth_root(n_max + elements[-1], k))
-    counts = {}
-    for n in range(1, n_max + 1):
-        counts[n] = sum(
-            1 for a in elements if smallest_power_divisor(n + a, k, table) is None
-        )
-    return counts
+    if not elements:
+        return dict.fromkeys(range(1, n_max + 1), 0)
+    low = elements[0]
+    flags = kfree_window(1 + low, n_max + elements[-1] - low, k).flags
+    columns = (flags[a - low : a - low + n_max] for a in elements)
+    return dict(zip(range(1, n_max + 1), map(sum, zip(*columns))))

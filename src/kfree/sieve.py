@@ -4,13 +4,16 @@ Everything here is exact integer work; floating point appears only in the
 density main term x / zeta(k).  Operations that need primes beyond their
 table raise :class:`~kfree.errors.CoverageError` rather than guessing.
 
-k-free windows are sieved by striking the multiples of p**k.  The count
-Q_k(x) of k-free integers up to x is not a sweep over [1, x]: it is the
-Moebius sum Q_k(x) = sum_{d <= x^(1/k)} mu(d) * floor(x / d^k), which costs
+k-free windows are sieved by striking the multiples of p**k, the one-element
+case of :func:`translate_flags`, the strike kernel behind every window and
+translate scan in the package.  The count Q_k(x) of k-free integers up to x
+is not a sweep over [1, x]: it is the Moebius sum
+Q_k(x) = sum_{d <= x^(1/k)} mu(d) * floor(x / d^k), which costs
 O(x^(1/k) log log x) time, with mu(d) sieved block by block from the primes
 up to x^(1/(2k)).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, log, pi
@@ -160,6 +163,37 @@ class KFreeWindow:
         return sum(self.flags)
 
 
+def translate_flags(lo: int, count: int, elements, primes, k: int, step: int = 1) -> bytearray:
+    """Entry i is 1 when no p**k (p in ``primes``) divides lo + i*step + a for
+    any a in ``elements``, else 0.
+
+    For each pair (p, a) the struck i form one class modulo q = p**k, solving
+    lo + i*step + a = 0 (mod q), and are zeroed by one slice assignment.
+    ``step`` must be prime to every listed p; the caller bounds ``count``.
+    """
+    flags = bytearray([1]) * count
+    if step != 1:
+        inverses = [pow(step, -1, p**k) for p in primes]
+    for a in elements:
+        shift = -(lo + a)
+        # The unit-step loop, which carries the long windows, skips the
+        # multiplication by 1/step; neither loop keeps a list of the p^k,
+        # which for a window near 10^14 would hold 660k big ints.
+        if step == 1:
+            for p in primes:
+                q = p**k
+                first = shift % q
+                if first < count:
+                    flags[first::q] = bytes((count - 1 - first) // q + 1)
+        else:
+            for p, inverse in zip(primes, inverses):
+                q = p**k
+                first = shift * inverse % q
+                if first < count:
+                    flags[first::q] = bytes((count - 1 - first) // q + 1)
+    return flags
+
+
 def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None = None) -> KFreeWindow:
     """Sieve k-free flags for [start, start+length) by striking multiples of p**k."""
     if start < 1:
@@ -171,18 +205,11 @@ def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None =
     if length == 0:
         return KFreeWindow(start, 0, k, b"")
     _require_bytes(length, f"window of length {length}")
-    top = start + length - 1
-    root = integer_kth_root(top, k)
-    table = _table_for(root, table)
-    flags = bytearray([1]) * length
-    for p in table.primes:
-        if p > root:
-            break
-        q = p**k
-        first = -start % q  # offset of the first multiple of q in the window
-        if first < length:
-            flags[first::q] = bytes(len(range(first, length, q)))
-    return KFreeWindow(start, length, k, bytes(flags))
+    root = integer_kth_root(start + length - 1, k)
+    primes = _table_for(root, table).primes
+    if primes and primes[-1] > root:  # a supplied table may reach further
+        primes = primes[: bisect_right(primes, root)]
+    return KFreeWindow(start, length, k, bytes(translate_flags(start, length, (0,), primes, k)))
 
 
 def _mobius_block(lo: int, hi: int, table: PrimeTable) -> list[int]:

@@ -101,3 +101,12 @@ def min_removed_flat(k, survivors, primes):
     for choice in product(*class_sets):
         best = min(best, len(set().union(*choice)))
     return best
+
+
+def translate_free_flags(lo, count, elements, primes, k, step=1):
+    """Entry i is 1 when no p^k (p in primes) divides lo + i*step + a for any
+    element a, by testing every (i, a, p) with one division each."""
+    return [
+        int(all((lo + i * step + a) % p**k for a in elements for p in primes))
+        for i in range(count)
+    ]

@@ -253,3 +253,28 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
     code, text = run_cli(["construct", "sample-counter", "--xmax", str(10**5)])
     assert code == 1 and text == ""
     assert capsys.readouterr().err.startswith("error: window of length")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-named", "--tag", "A1", "--prefix", "0", "--mode", "q-witness"],
+        ["verify-named", "--tag", "A1", "--prefix", "-3", "--mode", "sums"],
+        ["verify-appendix", "--trials", "-1"],
+        ["construct", "overp", "--cap", "-5"],
+        ["construct", "dense-q", "--x", "0"],
+        ["sieve-bound", "--n", "10", "--q", "0"],
+        ["admissible-max", "--x", "0"],
+    ],
+)
+def test_bad_input_exits_1_without_traceback(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_non_integer_trials_exits_2():
+    with pytest.raises(SystemExit) as info:
+        main(["verify-appendix", "--trials", "abc"])
+    assert info.value.code == 2
