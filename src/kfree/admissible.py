@@ -4,17 +4,20 @@ upper bounds.
 
 Only primes with p^k <= x constrain the maximum: any class mod a larger p^k
 has a representative-free choice inside [1, x] (residue 0, say, once
-p^k > x).  The search is branch-and-bound over the choice of removed class
-per prime, on bitmask survivor sets, with the incumbent seeded from a shift
-scan; ties between maximizing witnesses are broken toward the
-lexicographically smallest (ascending primes, then ascending residue) by a
-deterministic post-pass.
+p^k > x).  The search is one branch-and-bound over the choice of removed class
+per prime, on bitmask survivor sets, branching on the primes in ascending
+order and on each prime's residues in ascending order.  Its floor starts one
+below a shift scan's count and only a leaf that strictly beats the floor is
+kept, so the first leaf reaching the optimum, the lexicographically smallest
+maximizing witness (ascending primes, then ascending residue), is the one
+returned.  The reflection a -> x + 1 - a maps optima to optima, so at the
+root only classes c with c <= (x + 1 - c) mod p^k are tried.
 
-Both the search and the post-pass prune on one lower bound for the survivors
-the remaining primes must still remove (``_forced_loss``), the larger of two:
-the single bound, the largest per-prime least class hit, and the pairwise
-(Bonferroni) bound, the sum of those least hits less ceil(x / (p^k q^k)) for
-each pair of remaining primes p < q.
+The search prunes on one lower bound for the survivors the remaining primes
+must still remove (``_forced_loss``), the larger of two: the single bound,
+the largest per-prime least class hit, and the pairwise (Bonferroni) bound,
+the sum of those least hits less ceil(x / (p^k q^k)) for each pair of
+remaining primes p < q.
 """
 
 import time
@@ -66,9 +69,11 @@ def _class_masks(x: int, k: int, primes) -> dict[int, list[int]]:
 def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -> AdmissibleMaxResult:
     """Exact window maximum by branch-and-bound over removed classes.
 
-    With no time budget the search always completes and the result is EXACT;
-    otherwise the best incumbent found within the budget is returned with
-    LOWER_BOUND status.  Correctness never degrades, only the status.
+    With no time budget the search always completes and the result is EXACT,
+    with the lexicographically smallest maximizing witness; otherwise the best
+    leaf found within the budget (or the shift scan's witness, if no leaf was
+    reached) is returned with LOWER_BOUND status.  Correctness never degrades,
+    only the status.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -76,16 +81,15 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     if not primes:
         return AdmissibleMaxResult(x, k, x, {}, EXACT)
     masks = _class_masks(x, k, primes)
-    full = (1 << x) - 1
 
-    # seed the incumbent from a cheap shift scan; any shift yields a witness
+    # any shift yields a witness with `count` survivors, so the optimum is at
+    # least `count`; a floor one below it lets the optimum's first leaf win
     count, shift = admissible_max_lower_shift(x, k, shifts=range(0, min(4 * x, 512)))
-    best_value = count
-    best_leaf = {p: (-shift) % p**k for p in primes}
+    best_value = count - 1
+    best_leaf = None
 
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    order = sorted(primes, reverse=True)
-    pair_caps = _pair_cap_suffixes(x, [p**k for p in order])
+    pair_caps = _pair_cap_suffixes(x, [p**k for p in primes])
     exhausted = True
 
     def descend(idx: int, survivors: int, chosen: dict[int, int]) -> None:
@@ -96,27 +100,29 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
             exhausted = False
             return
         alive = survivors.bit_count()
-        if idx == len(order):
+        if idx == len(primes):
             if alive > best_value:
                 best_value = alive
                 best_leaf = dict(chosen)
             return
-        if alive - _forced_loss(survivors, order[idx:], masks, pair_caps[idx]) <= best_value:
+        if alive - _forced_loss(survivors, primes[idx:], masks, pair_caps[idx]) <= best_value:
             return
-        p = order[idx]
-        ranked = sorted(range(p**k), key=lambda c: (survivors & masks[p][c]).bit_count())
-        for c in ranked:
+        p = primes[idx]
+        q = p**k
+        for c in range(q):
+            # the reflection of a witness using c at the root uses
+            # (x + 1 - c) mod q there, so the smallest optimum never has c above it
+            if idx == 0 and c > (x + 1 - c) % q:
+                continue
             chosen[p] = c
             descend(idx + 1, survivors & ~masks[p][c], chosen)
-            del chosen[p]
+        del chosen[p]
 
-    descend(0, full, {})
+    descend(0, (1 << x) - 1, {})
 
-    if not exhausted:
-        return AdmissibleMaxResult(x, k, best_value, dict(sorted(best_leaf.items())), LOWER_BOUND)
-
-    witness = _lexicographic_witness(primes, masks, full, best_value)
-    return AdmissibleMaxResult(x, k, best_value, witness, EXACT)
+    if best_leaf is None:
+        return AdmissibleMaxResult(x, k, count, {p: (-shift) % p**k for p in primes}, LOWER_BOUND)
+    return AdmissibleMaxResult(x, k, best_value, best_leaf, EXACT if exhausted else LOWER_BOUND)
 
 
 def _pair_cap_suffixes(x: int, moduli: list[int]) -> list[int]:
@@ -141,38 +147,6 @@ def _forced_loss(survivors: int, rest, masks, pair_caps: int) -> int:
     """
     mins = [min((survivors & mask).bit_count() for mask in masks[p]) for p in rest]
     return max(max(mins), sum(mins) - pair_caps)
-
-
-def _attainable(survivors: int, rest, masks, pair_caps, target: int) -> bool:
-    """Can some completion over the remaining primes keep >= target alive?
-    ``pair_caps`` holds the pairwise cap suffix sums aligned with ``rest``."""
-    if survivors.bit_count() < target:
-        return False
-    if not rest:
-        return True
-    if survivors.bit_count() - _forced_loss(survivors, rest, masks, pair_caps[0]) < target:
-        return False
-    p = rest[0]
-    ranked = sorted(range(len(masks[p])), key=lambda c: (survivors & masks[p][c]).bit_count())
-    return any(
-        _attainable(survivors & ~masks[p][c], rest[1:], masks, pair_caps[1:], target)
-        for c in ranked
-    )
-
-
-def _lexicographic_witness(primes, masks, full: int, value: int) -> dict[int, int]:
-    """Smallest witness achieving the optimum: ascending primes, ascending residue."""
-    pair_caps = _pair_cap_suffixes(full.bit_length(), [len(masks[p]) for p in primes])
-    survivors = full
-    witness = {}
-    for i, p in enumerate(primes):
-        rest = primes[i + 1 :]
-        for c in range(len(masks[p])):
-            if _attainable(survivors & ~masks[p][c], rest, masks, pair_caps[i + 1 :], value):
-                witness[p] = c
-                survivors &= ~masks[p][c]
-                break
-    return witness
 
 
 def recompute_witness_value(result: AdmissibleMaxResult) -> int:

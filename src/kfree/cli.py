@@ -194,6 +194,8 @@ def _cmd_construct(args, out) -> int:
             print(term, file=out)
         return 0
     if args.construction == "dense-q":
+        if args.steps < 0:
+            raise ValueError("--steps must be nonnegative")
         state = DenseQState.start(args.n1)
         for _ in range(args.steps):
             state = dense_q_step(state, args.epsilon, args.x, seed=args.seed)

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple
 from .errors import BudgetError, KfreeError, NotAdmissibleError
 from .sieve import (
     ResidueClass,
+    _require_bytes,
     build_prime_table,
     integer_kth_root,
     kfree_window,
@@ -409,12 +410,14 @@ def property_p_evidence(values, n_max: int, k: int = 2) -> dict[int, int]:
     An empirical probe: a set all of whose translates eventually miss the
     k-free numbers shows uniformly small counts here.  One k-free window over
     [1 + min A, n_max + max A] serves every translate, so a request longer
-    than the window byte cap raises ResourceError before allocating.
+    than the window byte cap (n_max itself for an empty set) raises
+    ResourceError before allocating.
     """
     elements = as_elements(values)
     if n_max < 1:
         return {}
     if not elements:
+        _require_bytes(n_max, f"window of length {n_max}")
         return dict.fromkeys(range(1, n_max + 1), 0)
     low = elements[0]
     flags = kfree_window(1 + low, n_max + elements[-1] - low, k).flags

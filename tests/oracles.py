@@ -63,16 +63,10 @@ def crt_scan(classes):
     raise AssertionError("no solution found; moduli not coprime?")
 
 
-def admissible_max_flat(x, k=2):
-    """Window maximum by exhausting every residue-choice tuple.
-
-    Every combination of one removed class per prime power <= x is tried;
-    class unions are taken on integer bitmasks so the enumeration stays
-    feasible up to a few tens of thousands of combinations.
-    """
+def _flat_class_masks(x, k):
+    """The primes with p^k <= x and, for each, the bitmask of every class
+    mod p^k restricted to [1, x]."""
     primes = [p for p in trial_division_primes(x) if p**k <= x]
-    if not primes:
-        return x
     class_masks = []
     for p in primes:
         q = p**k
@@ -80,6 +74,19 @@ def admissible_max_flat(x, k=2):
         for a in range(1, x + 1):
             masks[a % q] |= 1 << a
         class_masks.append(masks)
+    return primes, class_masks
+
+
+def admissible_max_flat(x, k=2):
+    """Window maximum by exhausting every residue-choice tuple.
+
+    Every combination of one removed class per prime power <= x is tried;
+    class unions are taken on integer bitmasks so the enumeration stays
+    feasible up to a few tens of thousands of combinations.
+    """
+    primes, class_masks = _flat_class_masks(x, k)
+    if not primes:
+        return x
     best = 0
     for choice in product(*class_masks):
         removed = 0
@@ -87,6 +94,23 @@ def admissible_max_flat(x, k=2):
             removed |= mask
         best = max(best, x - removed.bit_count())
     return best
+
+
+def lex_smallest_optimal_flat(x, k=2):
+    """Lexicographically smallest maximizing witness (ascending primes, then
+    ascending residue) as a dict p -> removed class mod p^k, by exhausting
+    every residue-choice tuple in lexicographic order and keeping the first
+    one that attains the maximum."""
+    primes, class_masks = _flat_class_masks(x, k)
+    best, best_choice = -1, None
+    for choice in product(*(range(p**k) for p in primes)):
+        removed = 0
+        for masks, c in zip(class_masks, choice):
+            removed |= masks[c]
+        kept = x - removed.bit_count()
+        if kept > best:
+            best, best_choice = kept, choice
+    return dict(zip(primes, best_choice))
 
 
 def min_removed_flat(k, survivors, primes):

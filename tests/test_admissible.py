@@ -14,7 +14,7 @@ from kfree.admissible import (
 )
 from kfree.sieve import count_power_free_upto
 
-from oracles import admissible_max_flat, min_removed_flat
+from oracles import admissible_max_flat, lex_smallest_optimal_flat, min_removed_flat
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,36 @@ class TestExact:
         assert admissible_max_exact(7, k=3).value == 7
         result = admissible_max_exact(8, k=3)
         assert result.value == 7 and set(result.witness) == {2}
+
+
+class TestLexicographicWitness:
+    # the reflection a -> x + 1 - a prunes half the root classes, so every
+    # tie-break has to be pinned, not only x = 10's
+    @pytest.mark.parametrize("k, x_max", [(2, 60), (3, 120)])
+    def test_matches_flat_enumeration(self, k, x_max):
+        for x in range(1, x_max + 1):
+            assert admissible_max_exact(x, k).witness == lex_smallest_optimal_flat(x, k), (x, k)
+
+
+class TestBeyondFixture:
+    # past the A083544 prefix no independent exact value exists, so these
+    # check only what must hold of any correct answer
+    def test_seeded_windows_are_exact_and_bracketed(self):
+        rng = random.Random(169)
+        for x in sorted(rng.sample(range(169, 301), 4)) + [300]:
+            result = admissible_max_exact(x)
+            assert result.is_exact, x
+            assert recompute_witness_value(result) == result.value, x
+            lower, _ = admissible_max_lower_shift(x, shifts=range(1000))
+            assert lower <= result.value <= admissible_max_upper_sieve(x), x
+            assert result.value - admissible_max_exact(x - 1).value in (0, 1), x
+
+    def test_zero_budget_at_300_keeps_a_valid_witness(self):
+        rushed = admissible_max_exact(300, time_budget=0.0)
+        assert rushed.status == "LOWER_BOUND"
+        assert set(rushed.witness) == set(_constraining_primes(300, 2))
+        assert recompute_witness_value(rushed) == rushed.value
+        assert rushed.value <= admissible_max_exact(300).value
 
 
 class TestForcedLoss:

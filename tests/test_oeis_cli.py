@@ -274,6 +274,13 @@ def test_bad_input_exits_1_without_traceback(argv, capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_negative_dense_q_steps_exits_1(capsys):
+    code = main(["construct", "dense-q", "--x", "10000", "--steps", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_non_integer_trials_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["verify-appendix", "--trials", "abc"])

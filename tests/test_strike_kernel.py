@@ -139,6 +139,12 @@ class TestPropertyPEvidence:
         with pytest.raises(ResourceError):
             property_p_evidence([1, 5], 10**5)
 
+    def test_empty_set_over_byte_cap_raises(self, monkeypatch):
+        monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+        assert property_p_evidence([], 10**4) == dict.fromkeys(range(1, 10**4 + 1), 0)
+        with pytest.raises(ResourceError):
+            property_p_evidence([], 10**4 + 1)
+
     def test_astronomical_range_raises(self):
         with pytest.raises(ResourceError):
             property_p_evidence([1, 5], 10**12)
