@@ -63,6 +63,7 @@ from .sieve import (
     integer_kth_root,
     is_power_free,
     kfree_window,
+    primes_upto,
     smallest_power_divisor,
     zeta,
 )

@@ -27,9 +27,9 @@ from random import Random
 
 from .large_sieve import OmegaProfile, optimize_q
 from .sieve import (
-    build_prime_table,
     crt_combine,
     integer_kth_root,
+    primes_upto,
     ResidueClass,
     translate_flags,
 )
@@ -52,7 +52,7 @@ class AdmissibleMaxResult:
 
 
 def _constraining_primes(x: int, k: int) -> list[int]:
-    return list(build_prime_table(integer_kth_root(x, k)).primes)
+    return list(primes_upto(integer_kth_root(x, k)))
 
 
 def _class_masks(x: int, k: int, primes) -> dict[int, list[int]]:
@@ -66,6 +66,13 @@ def _class_masks(x: int, k: int, primes) -> dict[int, list[int]]:
     return masks
 
 
+def check_time_budget(time_budget: float | None) -> None:
+    """Refuse a NaN budget, whose deadline never passes, and a negative one,
+    which would quietly give LOWER_BOUND; None means no budget."""
+    if time_budget is not None and not time_budget >= 0:
+        raise ValueError(f"time budget must be a nonnegative number of seconds, got {time_budget}")
+
+
 def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -> AdmissibleMaxResult:
     """Exact window maximum by branch-and-bound over removed classes.
 
@@ -75,6 +82,7 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     reached) is returned with LOWER_BOUND status.  Correctness never degrades,
     only the status.
     """
+    check_time_budget(time_budget)
     if x < 1:
         raise ValueError("x must be >= 1")
     primes = _constraining_primes(x, k)

@@ -17,6 +17,7 @@ from .admissible import (
     admissible_max_exact,
     admissible_max_lower_shift,
     admissible_max_upper_sieve,
+    check_time_budget,
 )
 from .constructions import (
     DenseQState,
@@ -39,7 +40,7 @@ from .properties import (
     named_sequence_certificate,
     named_sequence_prefix,
 )
-from .sieve import build_prime_table, count_power_free_upto, density_main_term
+from .sieve import count_power_free_upto, density_main_term, primes_upto
 
 
 def _real(value: float) -> str:
@@ -102,6 +103,7 @@ def _cmd_sieve_count(args, out) -> int:
 
 
 def _cmd_admissible_max(args, out) -> int:
+    check_time_budget(args.budget)  # also when --table --x 0 runs no search
     rows = []
     xs = range(1, args.x + 1) if args.table else [args.x]
     for x in xs:
@@ -154,7 +156,7 @@ def _cmd_verify_named(args, out) -> int:
             print(term, file=out)
         return 0
     if args.mode == "certificate":
-        for p in build_prime_table(args.prime_bound).primes:
+        for p in primes_upto(args.prime_bound):
             print(f"p={p}: avoids {named_sequence_certificate(args.tag, p)}", file=out)
         return 0
     if args.mode == "sums":

@@ -24,11 +24,11 @@ from .properties import (
 )
 from .sieve import (
     ResidueClass,
-    build_prime_table,
     crt_combine,
     integer_kth_root,
     kfree_window,
     nth_prime,
+    primes_upto,
     smallest_power_divisor,
     translate_flags,
 )
@@ -227,7 +227,7 @@ def suff_witness_search(
     relevant = tuple(a for a in elements if a <= x)
 
     prime_limit = int(theta * log(x)) if x >= 2 else 0
-    w_primes = build_prime_table(prime_limit).primes if prime_limit >= 2 else ()
+    w_primes = primes_upto(prime_limit)
     if w_primes:
         # the certificate must cover the primorial primes and stay above the
         # decidability floor |A|^(1/k) that full-occupancy checks need
@@ -257,7 +257,7 @@ def suff_witness_search(
     count = len(range(first, hi + 1, modulus))
     needed = integer_kth_root(hi + relevant[-1], k) if relevant else 0
     certification = Certification.checked_to(needed, prime_cutoff)
-    primes = [p for p in build_prime_table(certification.prime_cutoff).primes if modulus % p]
+    primes = [p for p in primes_upto(certification.prime_cutoff) if modulus % p]
     good = translate_flags(first, count, relevant, primes, k, step=modulus)
     if seed is None:
         i = good.find(1)
@@ -335,7 +335,7 @@ def dense_q_step(
     n = state.anchors[-1]
     step_index = len(state.anchors)
 
-    w_primes = build_prime_table(n * n).primes
+    w_primes = primes_upto(n * n)
     modulus = 1
     for p in w_primes:
         modulus *= p**k
@@ -356,13 +356,12 @@ def dense_q_step(
         Random(seed).shuffle(candidates)
 
     small_free = kfree_window(1, n, k).members()
-    table = build_prime_table(integer_kth_root(hi + n, k))
+    # one sieve (and one byte-cap check) up to the largest root checked below
+    primes_upto(integer_kth_root(hi + n, k))
     examined = 0
     for candidate in candidates:
         examined += 1
-        if all(
-            smallest_power_divisor(candidate + a, k, table) is None for a in small_free
-        ):
+        if all(smallest_power_divisor(candidate + a, k) is None for a in small_free):
             anchor = candidate
             break
     else:
@@ -465,7 +464,7 @@ def occupancy_probe(values, x: int, k: int = 2) -> dict[int, tuple[int, ...]]:
     elements = [a for a in as_elements(values) if a <= x]
     probe = {}
     limit = int(log(x)) if x >= 2 else 0
-    for p in build_prime_table(limit).primes:
+    for p in primes_upto(limit):
         q = p**k
         occupied = {a % q for a in elements}
         probe[p] = tuple(r for r in range(1, q) if r not in occupied)
@@ -500,7 +499,7 @@ def overp_base_point(
         raise ValueError("prime threshold must be >= 3")
     if k < 2:
         raise ValueError("k must be >= 2")
-    small = build_prime_table(p_threshold).primes
+    small = primes_upto(p_threshold)
     modulus = 1
     for p in small:
         modulus *= p**k
@@ -516,8 +515,7 @@ def overp_base_point(
                 f"full verification would need primes up to {top}; "
                 "pass verify_prime_cap to accept a partial certification"
             )
-        table = build_prime_table(top)
-        for q in table.primes:
+        for q in primes_upto(top):
             if q <= p_threshold:
                 continue
             reach = _loglog_range(q)
@@ -598,7 +596,7 @@ def overp_sequence(
     window = kfree_window(1, induced_cap, k)
     needed = integer_kth_root(anchors[-1] + induced_cap, k) if anchors else 0
     certification = Certification.checked_to(needed, verify_prime_cap)
-    primes = build_prime_table(certification.prime_cutoff).primes
+    primes = primes_upto(certification.prime_cutoff)
     good = translate_flags(1, induced_cap, anchors, primes, k)
     induced = tuple(
         a for a in range(1, induced_cap + 1) if window.flags[a - 1] and good[a - 1]

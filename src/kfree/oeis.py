@@ -14,7 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
-from .admissible import admissible_max_exact
+from .admissible import admissible_max_exact, check_time_budget
+from .errors import BudgetError
 from .properties import named_sequence_term
 from .sieve import count_power_free_upto
 
@@ -154,7 +155,11 @@ def computed_value(rule: ManifestRule, index: int, time_budget: float | None = N
     if rule.quantity == SF_NTH:
         return _nth_squarefree(index)
     if rule.quantity == A_OF_X:
-        return admissible_max_exact(index, time_budget=time_budget).value
+        result = admissible_max_exact(index, time_budget=time_budget)
+        if not result.is_exact:
+            # a lower bound checked against the file would overclaim a match
+            raise BudgetError(f"A({index}) is only a lower bound within the {time_budget} s budget")
+        return result.value
     if rule.quantity == NAMED_TERM:
         return named_sequence_term(rule.argument, index)
     raise ValueError(f"unknown quantity {rule.quantity!r}")
@@ -186,7 +191,12 @@ def crosscheck(
     index_range: tuple[int, int] | None = None,
     time_budget: float | None = None,
 ) -> CrosscheckReport:
-    """Compare every ingested entry in range against the computed quantity."""
+    """Compare every ingested entry in range against the computed quantity.
+
+    A budgeted search that cannot prove its value raises BudgetError rather
+    than count a lower bound as checked.
+    """
+    check_time_budget(time_budget)
     if rule.sequence_id != bfile.sequence_id:
         raise ValueError(
             f"manifest rule is for {rule.sequence_id}, b-file is {bfile.sequence_id}"

@@ -19,9 +19,9 @@ from .errors import BudgetError, KfreeError, NotAdmissibleError
 from .sieve import (
     ResidueClass,
     _require_bytes,
-    build_prime_table,
     integer_kth_root,
     kfree_window,
+    primes_upto,
     smallest_power_divisor,
     translate_flags,
 )
@@ -175,7 +175,7 @@ def admissibility_certificate(
             f"prime_bound {prime_bound} below |A|^(1/k) = {needed}; admissibility undecided"
         )
     explicit: dict[int, ResidueClass] = {}
-    for p in build_prime_table(prime_bound).primes:
+    for p in primes_upto(prime_bound):
         q = p**k
         occupied = {a % q for a in elements}
         if len(occupied) == q:
@@ -326,7 +326,7 @@ def find_translate_witness(
         raise BudgetError(f"scan range [{lo}, {hi}] exceeds cap {range_cap}")
     needed = integer_kth_root(hi + elements[-1], k) if elements else 0
     certification = Certification.checked_to(needed, prime_cutoff)
-    primes = build_prime_table(certification.prime_cutoff).primes
+    primes = primes_upto(certification.prime_cutoff)
     i = translate_flags(lo, length, elements, primes, k).find(1)
     if i < 0:
         return NoWitness(length)

@@ -4,6 +4,12 @@ Everything here is exact integer work; floating point appears only in the
 density main term x / zeta(k).  Operations that need primes beyond their
 table raise :class:`~kfree.errors.CoverageError` rather than guessing.
 
+Every prime the package uses comes from one source, :func:`primes_upto`: a
+memo of the primes found so far, stored as an ``array("I")`` and grown only
+upward, by sieving just the new segment with the primes it already holds.
+Each request is checked against the byte cap, whatever the memo holds, so
+results and errors never depend on earlier calls.
+
 k-free windows are sieved by striking the multiples of p**k, the one-element
 case of :func:`translate_flags`, the strike kernel behind every window and
 translate scan in the package.  The count Q_k(x) of k-free integers up to x
@@ -13,9 +19,11 @@ O(x^(1/k) log log x) time, with mu(d) sieved block by block from the primes
 up to x^(1/(2k)).
 """
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, log, pi
 
 from .errors import CoverageError, ResourceError
@@ -84,38 +92,65 @@ class PrimeTable:
         return len(self.primes)
 
 
-def build_prime_table(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes up to ``limit`` inclusive."""
-    if limit < 0:
+# The memo behind primes_upto: every prime up to _memo_limit, ascending.
+# Growth replaces the array rather than extending it, so views handed out
+# earlier stay valid.
+_memo = array("I")
+_memo_limit = 1
+
+
+def _extend_memo(n: int) -> None:
+    """Grow the memo to every prime up to n > _memo_limit."""
+    global _memo, _memo_limit
+    root = isqrt(n)
+    if root > _memo_limit:
+        _extend_memo(root)
+    lo = _memo_limit + 1  # after the recursion, which may have moved it
+    flags = bytearray([1]) * (n - lo + 1)
+    for p in _memo:
+        if p > root:
+            break
+        start = max(p * p, lo + -lo % p)
+        flags[start - lo :: p] = bytes(len(range(start, n + 1, p)))
+    _memo = _memo + array("I", compress(range(lo, n + 1), flags))
+    _memo_limit = n
+
+
+def primes_upto(n: int) -> memoryview:
+    """All primes up to ``n`` inclusive, ascending, as a read-only view of the
+    shared memo (no copy).  A view stays valid and unchanged after growth.
+    """
+    if n < 0:
         raise ValueError("limit must be nonnegative")
-    _require_bytes(limit + 1, f"prime table up to {limit}")
-    if limit < 2:
-        return PrimeTable(limit, ())
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = bytes(len(range(start, limit + 1, p)))
-    return PrimeTable(limit, tuple(i for i in range(2, limit + 1) if flags[i]))
+    _require_bytes(n + 1, f"prime table up to {n}")
+    if n > _memo_limit:
+        _extend_memo(n)
+    return memoryview(_memo).toreadonly()[: bisect_right(_memo, n)]
 
 
-def _table_for(bound: int, table: PrimeTable | None) -> PrimeTable:
-    """Use the supplied table (enforcing coverage) or build a sufficient one."""
+def build_prime_table(limit: int) -> PrimeTable:
+    """Every prime up to ``limit`` inclusive, as a table of its own."""
+    return PrimeTable(limit, tuple(primes_upto(limit)))
+
+
+def _primes_for(bound: int, table: PrimeTable | None):
+    """The supplied table's primes (enforcing coverage), or the memo's up to
+    ``bound``."""
     if table is None:
-        return build_prime_table(bound)
+        return primes_upto(bound)
     table.require(bound)
-    return table
+    return table.primes
 
 
 def nth_prime(r: int) -> int:
-    """r-th prime, 1-indexed; sieves up to a Rosser-style upper bound."""
+    """r-th prime, 1-indexed, read from the primes up to a Rosser-style
+    upper bound."""
     if r < 1:
         raise ValueError("prime index must be >= 1")
     if r < 6:
         return (2, 3, 5, 7, 11)[r - 1]
     bound = int(r * (log(r) + log(log(r)))) + 1
-    return build_prime_table(bound).nth(r)
+    return primes_upto(bound)[r - 1]
 
 
 def smallest_power_divisor(n: int, k: int = 2, table: PrimeTable | None = None) -> int | None:
@@ -128,8 +163,7 @@ def smallest_power_divisor(n: int, k: int = 2, table: PrimeTable | None = None) 
     if k < 2:
         raise ValueError("k must be >= 2")
     root = integer_kth_root(n, k)
-    table = _table_for(root, table)
-    for p in table.primes:
+    for p in _primes_for(root, table):
         if p > root:
             break
         if n % p**k == 0:
@@ -206,13 +240,13 @@ def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None =
         return KFreeWindow(start, 0, k, b"")
     _require_bytes(length, f"window of length {length}")
     root = integer_kth_root(start + length - 1, k)
-    primes = _table_for(root, table).primes
+    primes = _primes_for(root, table)
     if primes and primes[-1] > root:  # a supplied table may reach further
         primes = primes[: bisect_right(primes, root)]
     return KFreeWindow(start, length, k, bytes(translate_flags(start, length, (0,), primes, k)))
 
 
-def _mobius_block(lo: int, hi: int, table: PrimeTable) -> list[int]:
+def _mobius_block(lo: int, hi: int, primes) -> list[int]:
     """mu(d) for lo <= d < hi, striking the primes p with p * p < hi.
 
     Each entry starts as 1; a struck prime negates it and multiplies it by p,
@@ -221,7 +255,7 @@ def _mobius_block(lo: int, hi: int, table: PrimeTable) -> list[int]:
     """
     n = hi - lo
     signed = [1] * n
-    for p in table.primes:
+    for p in primes:
         q = p * p
         if q >= hi:
             break
@@ -259,11 +293,11 @@ def count_power_free_upto(
         raise ValueError("segment must be >= 1")
     root = integer_kth_root(x, k)
     _require_bytes(root, f"Moebius sum over d <= {root}")
-    table = _table_for(isqrt(root), table)
+    primes = _primes_for(isqrt(root), table)
     total = 0
     for lo in range(1, root + 1, segment):
         hi = min(lo + segment, root + 1)
-        mu = _mobius_block(lo, hi, table)
+        mu = _mobius_block(lo, hi, primes)
         total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
     return total
 

@@ -186,3 +186,19 @@ class TestUpperSieve:
         for x, result in exact_upto_30.items():
             q = max(1, round(x ** (1 / 5)))
             assert sieve_bound(x, q, profile) >= result.value, x
+
+
+class TestTimeBudgetValidation:
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0, -1e-9, float("-inf")])
+    def test_nan_or_negative_budget_raises(self, budget):
+        with pytest.raises(ValueError, match="time budget"):
+            admissible_max_exact(50, time_budget=budget)
+
+    def test_budget_checked_before_any_work(self):
+        # x = 1 has no constraining prime and returns before any search
+        with pytest.raises(ValueError, match="time budget"):
+            admissible_max_exact(1, time_budget=float("nan"))
+
+    def test_zero_and_infinite_budgets_are_valid(self):
+        assert admissible_max_exact(30, time_budget=float("inf")) == admissible_max_exact(30)
+        assert admissible_max_exact(3, time_budget=0.0).is_exact

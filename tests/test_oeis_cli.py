@@ -5,6 +5,7 @@ import random
 import pytest
 
 from kfree.cli import figure_shift_data, main, render_figure_csv
+from kfree.errors import BudgetError
 from kfree.oeis import (
     BFile,
     BFileError,
@@ -285,3 +286,43 @@ def test_non_integer_trials_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["verify-appendix", "--trials", "abc"])
     assert info.value.code == 2
+
+
+class TestBudgetedCrosscheck:
+    def test_lower_bound_is_not_counted_as_checked(self):
+        rules = load_manifest()
+        with pytest.raises(BudgetError, match=r"A\(4\)"):
+            crosscheck(load_bfile("A083544"), rules["A083544"], (1, 60), time_budget=0.0)
+
+    def test_ample_budget_matches_the_unbudgeted_report(self):
+        rules = load_manifest()
+        bfile = load_bfile("A083544")
+        assert crosscheck(bfile, rules["A083544"], (1, 40), time_budget=600.0) == crosscheck(
+            bfile, rules["A083544"], (1, 40)
+        )
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_invalid_budget_raises_for_any_quantity(self, budget):
+        rules = load_manifest()
+        with pytest.raises(ValueError, match="time budget"):
+            crosscheck(load_bfile("A013928"), rules["A013928"], time_budget=budget)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["crosscheck", "--id", "A083544", "--range", "1:60", "--budget", "0"],
+        ["admissible-max", "--x", "50", "--budget", "-1"],
+        ["admissible-max", "--x", "50", "--budget", "nan"],
+        ["admissible-max", "--table", "--x", "0", "--budget", "-1"],
+        ["figure-shift", "--xmax", "5", "--budget", "-1"],
+        ["figure-shift", "--xmax", "5", "--budget", "nan"],
+        ["crosscheck", "--id", "A083544", "--budget", "-1"],
+        ["crosscheck", "--id", "A083544", "--budget", "nan"],
+    ],
+)
+def test_unprovable_or_invalid_budget_exits_1(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
