@@ -6,18 +6,16 @@ Only primes with p^k <= x constrain the maximum: any class mod a larger p^k
 has a representative-free choice inside [1, x] (residue 0, say, once
 p^k > x).  The search is one branch-and-bound over the choice of removed class
 per prime, on bitmask survivor sets, branching on the primes in ascending
-order and on each prime's residues in ascending order.  Its floor starts one
-below a shift scan's count and only a leaf that strictly beats the floor is
-kept, so the first leaf reaching the optimum, the lexicographically smallest
-maximizing witness (ascending primes, then ascending residue), is the one
-returned.  The reflection a -> x + 1 - a maps optima to optima, so at the
-root only classes c with c <= (x + 1 - c) mod p^k are tried.
+order and on each prime's residues in ascending order.  Nothing is pruned
+before the first leaf, the shift-0 pattern {p: 0}, and a leaf is kept only
+when it strictly beats the incumbent, so the first leaf reaching the
+optimum, the lexicographically smallest maximizing witness (ascending primes,
+then ascending residue), is the one returned.  The reflection a -> x + 1 - a
+maps optima to optima, so at the root only classes c with
+c <= (x + 1 - c) mod p^k are tried.
 
 The search prunes on one lower bound for the survivors the remaining primes
-must still remove (``_forced_loss``), the larger of two: the single bound,
-the largest per-prime least class hit, and the pairwise (Bonferroni) bound,
-the sum of those least hits less ceil(x / (p^k q^k)) for each pair of
-remaining primes p < q.
+must still remove (``_forced_loss``): the largest per-prime least class hit.
 """
 
 import time
@@ -27,6 +25,7 @@ from random import Random
 
 from .large_sieve import OmegaProfile, optimize_q
 from .sieve import (
+    _require_bytes,
     crt_combine,
     integer_kth_root,
     primes_upto,
@@ -77,10 +76,12 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     """Exact window maximum by branch-and-bound over removed classes.
 
     With no time budget the search always completes and the result is EXACT,
-    with the lexicographically smallest maximizing witness; otherwise the best
-    leaf found within the budget (or the shift scan's witness, if no leaf was
-    reached) is returned with LOWER_BOUND status.  Correctness never degrades,
-    only the status.
+    with the lexicographically smallest maximizing witness.  A budget is
+    checked only once the first leaf, the shift-0 pattern {p: 0}, is reached;
+    a search it stops returns its best leaf so far, worth at least Q_k(x),
+    with LOWER_BOUND status.  Correctness never degrades, only the status.
+    The class masks take about ceil(x/8) * sum(p^k) bytes, checked against
+    the byte cap (ResourceError) before any is built.
     """
     check_time_budget(time_budget)
     if x < 1:
@@ -88,23 +89,17 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     primes = _constraining_primes(x, k)
     if not primes:
         return AdmissibleMaxResult(x, k, x, {}, EXACT)
+    _require_bytes(-(-x // 8) * sum(p**k for p in primes), f"class masks for x = {x}")
     masks = _class_masks(x, k, primes)
 
-    # any shift yields a witness with `count` survivors, so the optimum is at
-    # least `count`; a floor one below it lets the optimum's first leaf win
-    count, shift = admissible_max_lower_shift(x, k, shifts=range(0, min(4 * x, 512)))
-    best_value = count - 1
+    best_value = -1
     best_leaf = None
-
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    pair_caps = _pair_cap_suffixes(x, [p**k for p in primes])
     exhausted = True
 
     def descend(idx: int, survivors: int, chosen: dict[int, int]) -> None:
         nonlocal best_value, best_leaf, exhausted
-        if not exhausted:
-            return
-        if deadline is not None and time.monotonic() > deadline:
+        if best_leaf is not None and deadline is not None and time.monotonic() > deadline:
             exhausted = False
             return
         alive = survivors.bit_count()
@@ -113,7 +108,9 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
                 best_value = alive
                 best_leaf = dict(chosen)
             return
-        if alive - _forced_loss(survivors, primes[idx:], masks, pair_caps[idx]) <= best_value:
+        # the forced loss never exceeds alive, so before the first leaf the
+        # bound could prune nothing and is not computed
+        if best_leaf is not None and alive - _forced_loss(survivors, primes[idx:], masks) <= best_value:
             return
         p = primes[idx]
         q = p**k
@@ -124,37 +121,19 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
                 continue
             chosen[p] = c
             descend(idx + 1, survivors & ~masks[p][c], chosen)
+            if not exhausted:
+                break
         del chosen[p]
 
     descend(0, (1 << x) - 1, {})
-
-    if best_leaf is None:
-        return AdmissibleMaxResult(x, k, count, {p: (-shift) % p**k for p in primes}, LOWER_BOUND)
     return AdmissibleMaxResult(x, k, best_value, best_leaf, EXACT if exhausted else LOWER_BOUND)
 
 
-def _pair_cap_suffixes(x: int, moduli: list[int]) -> list[int]:
-    """caps[i] = sum over i <= a < b of ceil(x / (moduli[a] * moduli[b])),
-    with caps[len(moduli)] = 0."""
-    caps = [0] * (len(moduli) + 1)
-    for i in range(len(moduli) - 1, -1, -1):
-        caps[i] = caps[i + 1] + sum(-(-x // (moduli[i] * m)) for m in moduli[i + 1 :])
-    return caps
-
-
-def _forced_loss(survivors: int, rest, masks, pair_caps: int) -> int:
+def _forced_loss(survivors: int, rest, masks) -> int:
     """Lower bound on the survivors that any choice of one class per prime in
-    the non-empty ``rest`` removes; ``pair_caps`` is the pairwise cap sum
-    over ``rest``.
-
-    Sound because a class mod p^k and a class mod q^k meet in exactly one
-    class mod p^k q^k (CRT), so they share at most ceil(x / (p^k q^k))
-    elements of [1, x]; by Bonferroni the union of the removed sets S_p has
-    at least sum |S_p| - sum_{p<q} |S_p & S_q| elements, and it has at least
-    max |S_p| elements.  Each |S_p| is at least its prime's least class hit.
-    """
-    mins = [min((survivors & mask).bit_count() for mask in masks[p]) for p in rest]
-    return max(max(mins), sum(mins) - pair_caps)
+    the non-empty ``rest`` removes: the largest least class hit, since the
+    removed set contains the class chosen for each prime."""
+    return max(min((survivors & mask).bit_count() for mask in masks[p]) for p in rest)
 
 
 def recompute_witness_value(result: AdmissibleMaxResult) -> int:

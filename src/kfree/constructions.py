@@ -23,6 +23,7 @@ from .properties import (
     find_translate_witness,
 )
 from .sieve import (
+    _require_bytes,
     ResidueClass,
     crt_combine,
     integer_kth_root,
@@ -325,7 +326,9 @@ def dense_q_step(
     density of {a k-free <= R : n' + a k-free} is additionally measured on the
     geometric grid R, (1+epsilon)R, ... up to min(n', grid_budget) and
     reported, not asserted.  The new slice of the accumulated set is
-    materialized only when it fits the slice budget.
+    materialized only when it fits the slice budget.  The candidate count is
+    checked against the byte cap (ResourceError) before the candidates are
+    struck.
     """
     if not state.anchors:
         raise ValueError("state has no initial anchor; use DenseQState.start")
@@ -345,30 +348,35 @@ def dense_q_step(
         raise ValueError(
             f"no multiple of the primorial power {modulus} lies in [{lo}, {hi}]"
         )
-    floor_anchor = max(first, (step_index + 1) * n)
-    candidates = [m for m in range(first, hi + 1, modulus) if m >= floor_anchor]
-    if not candidates:
+    spacing = (step_index + 1) * n
+    if first < spacing:
+        first += -(-(spacing - first) // modulus) * modulus
+    if first > hi:
         raise ValueError(
             f"multiples of {modulus} in [{lo}, {hi}] all violate the spacing "
-            f"requirement n' >= {(step_index + 1) * n}"
+            f"requirement n' >= {spacing}"
         )
-    if seed is not None:
-        Random(seed).shuffle(candidates)
+    count = (hi - first) // modulus + 1
+    _require_bytes(count, f"{count} candidate multiples of {modulus}")
 
     small_free = kfree_window(1, n, k).members()
-    # one sieve (and one byte-cap check) up to the largest root checked below
-    primes_upto(integer_kth_root(hi + n, k))
-    examined = 0
-    for candidate in candidates:
-        examined += 1
-        if all(smallest_power_divisor(candidate + a, k) is None for a in small_free):
-            anchor = candidate
-            break
-    else:
+    # each candidate is 0 mod p^k for the primes of W, so it keeps a k-free a
+    # off 0 mod p^k there and only the primes above n^2 need striking
+    primes = [p for p in primes_upto(integer_kth_root(hi + n, k)) if p > n * n]
+    good = translate_flags(first, count, small_free, primes, k, step=modulus)
+    order = range(count)
+    if seed is not None:
+        # the shuffle permutes by position only, so shuffling the indices
+        # visits the candidates in the same order as shuffling their values
+        order = list(order)
+        Random(seed).shuffle(order)
+    examined = next((j for j, i in enumerate(order, 1) if good[i]), 0)
+    if not examined:
         raise BudgetError(
-            f"none of the {examined} candidate multiples preserved the k-free "
+            f"none of the {count} candidate multiples preserved the k-free "
             f"numbers up to {n}"
         )
+    anchor = first + order[examined - 1] * modulus
 
     # density report on a geometric grid, capped by the inspection budget
     r_cap = min(anchor, grid_budget)

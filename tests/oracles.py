@@ -6,6 +6,7 @@ flat product enumeration over every residue choice.
 """
 
 from itertools import product
+from random import Random
 
 
 def trial_division_primes(limit):
@@ -111,6 +112,57 @@ def lex_smallest_optimal_flat(x, k=2):
         if kept > best:
             best, best_choice = kept, choice
     return dict(zip(primes, best_choice))
+
+
+def admissible_max_bnb(x, k=2):
+    """Window maximum and its lexicographically smallest witness (as
+    ``lex_smallest_optimal_flat``) by a plain recursive branch-and-bound:
+    primes ascending, residues ascending, every root class tried, and a node
+    pruned when its survivors less the largest least class hit over the
+    remaining primes cannot beat the best leaf so far."""
+    primes, class_masks = _flat_class_masks(x, k)
+    best = [-1, None]
+
+    def search(i, alive, choice):
+        kept = alive.bit_count()
+        if i == len(primes):
+            if kept > best[0]:
+                best[:] = [kept, dict(zip(primes, choice))]
+            return
+        loss = max(min((alive & mask).bit_count() for mask in masks) for masks in class_masks[i:])
+        if kept - loss <= best[0]:
+            return
+        for c, mask in enumerate(class_masks[i]):
+            search(i + 1, alive & ~mask, choice + (c,))
+
+    search(0, (1 << (x + 1)) - 2, ())
+    return best[0], best[1]
+
+
+def dense_anchor_flat(anchors, k, x, seed=None):
+    """The next anchor ``dense_q_step`` must choose, and its 1-based position
+    among the candidates: the first multiple m of prod_{p <= n^2} p^k in
+    [x/2, x] with m >= (i+1)n (n the last of the i anchors) and m + a k-free
+    for every k-free a <= n, taken in increasing order or in the order
+    ``Random(seed).shuffle`` gives.  The anchor is None when no candidate
+    works, and the position 0 when there is no candidate."""
+    n = anchors[-1]
+    modulus = 1
+    for p in trial_division_primes(n * n):
+        modulus *= p**k
+    lo = (x + 1) // 2
+    candidates = [
+        m
+        for m in range(-(-lo // modulus) * modulus, x + 1, modulus)
+        if m >= (len(anchors) + 1) * n
+    ]
+    if seed is not None:
+        Random(seed).shuffle(candidates)
+    small_free = [a for a in range(1, n + 1) if kfree_by_factorization(a, k)]
+    for position, m in enumerate(candidates, 1):
+        if all(kfree_by_factorization(m + a, k) for a in small_free):
+            return m, position
+    return None, len(candidates)
 
 
 def min_removed_flat(k, survivors, primes):

@@ -2,19 +2,25 @@ import random
 
 import pytest
 
+from kfree import admissible, sieve
 from kfree.admissible import (
     _class_masks,
     _constraining_primes,
     _forced_loss,
-    _pair_cap_suffixes,
     admissible_max_exact,
     admissible_max_lower_shift,
     admissible_max_upper_sieve,
     recompute_witness_value,
 )
+from kfree.errors import ResourceError
 from kfree.sieve import count_power_free_upto
 
-from oracles import admissible_max_flat, lex_smallest_optimal_flat, min_removed_flat
+from oracles import (
+    admissible_max_bnb,
+    admissible_max_flat,
+    lex_smallest_optimal_flat,
+    min_removed_flat,
+)
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +59,7 @@ class TestExact:
 
     def test_witness_is_lexicographically_smallest(self):
         # for x = 10 both (0 mod 4, 4 mod 9) and (3 mod 4, 3 mod 9) attain 8;
-        # the post-pass must pick the smaller assignment
+        # the search must return the smaller assignment
         assert admissible_max_exact(10).witness == {2: 0, 3: 4}
 
     def test_unit_steps(self, exact_upto_30):
@@ -112,6 +118,46 @@ class TestBeyondFixture:
         assert rushed.value <= admissible_max_exact(300).value
 
 
+class TestIndependentSearch:
+    # the plain recursive search shares no code with the package and has no
+    # reflection, so it checks value and witness past the flat oracles' reach
+    def test_seeded_windows_match_plain_search(self):
+        rng = random.Random(400)
+        cases = [(x, 2) for x in sorted(rng.sample(range(169, 401), 3))]
+        cases += [(x, 3) for x in sorted(rng.sample(range(121, 301), 2))]
+        for x, k in cases:
+            result = admissible_max_exact(x, k)
+            assert result.is_exact, (x, k)
+            assert (result.value, result.witness) == admissible_max_bnb(x, k), (x, k)
+
+
+class TestZeroBudget:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stops_after_a_valid_leaf(self, k):
+        for x in range(1, 61):
+            exact = admissible_max_exact(x, k)
+            rushed = admissible_max_exact(x, k, time_budget=0.0)
+            # the deadline comparison is strict, so a fast run may finish
+            assert rushed.status == "LOWER_BOUND" or rushed == exact, (x, k)
+            assert set(rushed.witness) == set(_constraining_primes(x, k)), (x, k)
+            assert recompute_witness_value(rushed) == rushed.value, (x, k)
+            assert count_power_free_upto(x, k) <= rushed.value <= exact.value, (x, k)
+
+
+class TestMaskByteCap:
+    def test_cap_is_checked_before_any_mask_is_built(self, monkeypatch):
+        # x = 200: primes 2..13, sum of p^2 = 377, ceil(200 / 8) * 377 = 9425
+        # bytes; x = 201 needs 26 * 377 = 9802
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 9425)
+        built = []
+        real = admissible._class_masks
+        monkeypatch.setattr(admissible, "_class_masks", lambda x, *rest: built.append(x) or real(x, *rest))
+        assert admissible_max_exact(200).is_exact
+        with pytest.raises(ResourceError, match="class masks"):
+            admissible_max_exact(201)
+        assert built == [200]
+
+
 class TestForcedLoss:
     @pytest.mark.parametrize("k", [2, 3])
     def test_never_exceeds_true_minimum_loss(self, k):
@@ -123,19 +169,13 @@ class TestForcedLoss:
             if not primes:
                 continue
             order = rng.sample(primes, len(primes))
-            caps = _pair_cap_suffixes(x, [p**k for p in order])
             idx = rng.randrange(len(order))
             density = rng.random()
             alive = {a for a in range(1, x + 1) if rng.random() < density}
             survivors = sum(1 << (a - 1) for a in alive)
-            bound = _forced_loss(survivors, order[idx:], _class_masks(x, k, primes), caps[idx])
+            bound = _forced_loss(survivors, order[idx:], _class_masks(x, k, primes))
             assert bound <= min_removed_flat(k, alive, order[idx:]), (x, order[idx:], alive)
             checked += 1
-
-    def test_pair_cap_suffixes(self):
-        # x = 40, moduli 4, 9, 25: ceil(40/36) + ceil(40/100) + ceil(40/225) = 2 + 1 + 1
-        assert _pair_cap_suffixes(40, [4, 9, 25]) == [4, 1, 0, 0]
-        assert _pair_cap_suffixes(40, []) == [0]
 
 
 class TestLowerShift:

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from kfree import sieve
 from kfree.constructions import (
     DenseQState,
     GROWTH_FUNCTIONS,
@@ -15,11 +17,11 @@ from kfree.constructions import (
     sample_counterexample,
     suff_witness_search,
 )
-from kfree.errors import BudgetError, NotAdmissibleError
+from kfree.errors import BudgetError, NotAdmissibleError, ResourceError
 from kfree.properties import check_squarefree_sums, named_sequence_prefix
 from kfree.sieve import build_prime_table, kfree_window
 
-from oracles import kfree_by_factorization, trial_division_primes
+from oracles import dense_anchor_flat, kfree_by_factorization, trial_division_primes
 
 
 class TestSlowDensitySequence:
@@ -217,6 +219,38 @@ class TestDenseAnchors:
         acc = state.accumulated_set()
         assert acc == state.slices[0]
         assert all(2 < a <= state.anchors[-1] for a in acc)
+
+
+class TestDenseStepAgainstTrialDivision:
+    def test_seeded_random_steps(self):
+        # 143 anchors of 2 put the spacing floor at 288: for x = 360 only the
+        # multiples 288, 324 and 360 of 36 remain, and 289, 325 and 361 are
+        # not squarefree; for x = 280 no multiple clears the floor
+        cases = [([2] * 143, 2, 360, None), ([2] * 143, 2, 360, 1), ([2] * 143, 2, 280, None)]
+        rng = random.Random(36)
+        for _ in range(40):
+            anchors = [rng.choice([2, 3])] * rng.randrange(1, 4)
+            seed = rng.choice([None, rng.randrange(1000)])
+            cases.append((anchors, rng.choice([2, 3]), int(10 ** rng.uniform(2, 6)), seed))
+        for anchors, k, x, seed in cases:
+            expected, position = dense_anchor_flat(anchors, k, x, seed)
+            state = DenseQState(k=k, anchors=list(anchors))
+            if position == 0:
+                with pytest.raises(ValueError):
+                    dense_q_step(state, 0.5, x, seed=seed)
+            elif expected is None:
+                with pytest.raises(BudgetError, match=f"none of the {position} "):
+                    dense_q_step(state, 0.5, x, seed=seed)
+            else:
+                dense_q_step(state, 0.5, x, seed=seed, grid_budget=100, slice_budget=100)
+                report = state.reports[-1]
+                assert (report.anchor, report.candidates_examined) == (expected, position), (anchors, k, x, seed)
+
+    def test_candidate_count_checked_against_byte_cap(self, monkeypatch):
+        # W = 36: the multiples 5004, 5040, ..., 9972 in [5000, 10^4] number 139
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 138)
+        with pytest.raises(ResourceError, match="139 candidate multiples"):
+            dense_q_step(DenseQState.start(2), 0.5, 10**4)
 
 
 class TestSampler:

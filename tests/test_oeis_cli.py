@@ -282,6 +282,14 @@ def test_negative_dense_q_steps_exits_1(capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_admissible_max_over_mask_byte_cap_exits_1(capsys):
+    # the class masks for x = 30000 would take about 1.3 GB
+    code = main(["admissible-max", "--x", "30000", "--budget", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: class masks") and "Traceback" not in captured.err
+
+
 def test_non_integer_trials_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["verify-appendix", "--trials", "abc"])
