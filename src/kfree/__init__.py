@@ -23,7 +23,7 @@ from .constructions import (
     sample_counterexample,
     suff_witness_search,
 )
-from .errors import BudgetError, CoverageError, KfreeError, NotAdmissibleError, ResourceError
+from .errors import BudgetError, KfreeError, NotAdmissibleError, ResourceError
 from .large_sieve import (
     OmegaProfile,
     es_omega,

@@ -8,19 +8,21 @@ a deterministic increasing scan, with seeded-random candidate orders offered
 for experiments; identical inputs and seeds always reproduce identical output.
 """
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from math import ceil, exp, log
 from random import Random
 
 from .errors import BudgetError, NotAdmissibleError
 from .properties import (
+    DEFAULT_RANGE_CAP,
     Certification,
     NoWitness,
     NotAdmissible,
     WitnessReport,
     admissibility_certificate,
     as_elements,
-    find_translate_witness,
 )
 from .sieve import (
     _require_bytes,
@@ -191,6 +193,23 @@ def greedy_squarefree_sums(count: int, include_diagonal: bool = True, k: int = 2
     return GreedyResult(tuple(terms), tuple(skipped))
 
 
+def _first_good(good: bytearray, seed: int | None) -> tuple[int, int]:
+    """Index and 1-based scan position of the first nonzero entry of ``good``,
+    scanning in increasing order or, given a seed, in seeded random order;
+    (-1, 0) when every entry is zero.  The seeded order costs four bytes per
+    entry, checked against the byte cap before it is built."""
+    if seed is None:
+        i = good.find(1)
+        return i, i + 1
+    count = len(good)
+    _require_bytes(4 * count, f"seeded order of {count} candidates")
+    # the shuffle permutes by position only, so shuffling the indices
+    # visits the candidates in the same order as shuffling their values
+    order = array("I", range(count))
+    Random(seed).shuffle(order)
+    return next(((i, j) for j, i in enumerate(order, 1) if good[i]), (-1, 0))
+
+
 # --- primorial-structured witness search ---------------------------------------
 
 
@@ -213,7 +232,8 @@ def suff_witness_search(
     exponent taken from ``forward_exponent``), in increasing order, or in
     seeded random order when a seed is given.  All candidates are sieved at
     once over the primes not dividing W; the avoided classes already keep
-    n + a off 0 mod p^k for the primes that do.
+    n + a off 0 mod p^k for the primes that do.  More than
+    ``DEFAULT_RANGE_CAP`` candidates raise BudgetError before any strike.
     """
     elements = as_elements(values)
     if not 0 < theta < 0.25:
@@ -248,26 +268,18 @@ def suff_witness_search(
         lo, hi = (x + 1) // 2, x
     else:
         lo, hi = x + 1, x + integer_kth_root(x**num, den)
-
-    if modulus == 1 and seed is None:
-        return find_translate_witness(relevant, lo, hi, k, prime_cutoff)
+    if lo < 1:
+        raise ValueError("interval must start at 1 or later")
 
     first = lo + (target - lo) % modulus
-    if (hi - first) // modulus + 1 > 10_000_000:
-        raise BudgetError("candidate list too long; raise theta or shrink the interval")
-    count = len(range(first, hi + 1, modulus))
+    count = max(0, (hi - first) // modulus + 1)
+    if count > DEFAULT_RANGE_CAP:
+        raise BudgetError(f"scan range [{lo}, {hi}] exceeds cap {DEFAULT_RANGE_CAP}")
     needed = integer_kth_root(hi + relevant[-1], k) if relevant else 0
     certification = Certification.checked_to(needed, prime_cutoff)
     primes = [p for p in primes_upto(certification.prime_cutoff) if modulus % p]
     good = translate_flags(first, count, relevant, primes, k, step=modulus)
-    if seed is None:
-        i = good.find(1)
-    else:
-        # the shuffle permutes by position only, so shuffling the indices
-        # visits the candidates in the same order as shuffling their values
-        order = list(range(count))
-        Random(seed).shuffle(order)
-        i = next((j for j in order if good[j]), -1)
+    i, _ = _first_good(good, seed)
     if i < 0:
         return NoWitness(count)
     return WitnessReport.sieved(first + i * modulus, certification, relevant)
@@ -310,6 +322,13 @@ class DenseQState:
         return tuple(merged)
 
 
+def _both_kfree(lo: int, length: int, anchor: int, k: int) -> bytearray:
+    """Entry i is 1 when a = lo + i and anchor + a are both k-free."""
+    _require_bytes(length, f"window of length {length}")
+    primes = primes_upto(integer_kth_root(lo + length - 1 + anchor, k))
+    return translate_flags(lo, length, (0, anchor), primes, k)
+
+
 def dense_q_step(
     state: DenseQState,
     epsilon: float,
@@ -328,7 +347,7 @@ def dense_q_step(
     reported, not asserted.  The new slice of the accumulated set is
     materialized only when it fits the slice budget.  The candidate count is
     checked against the byte cap (ResourceError) before the candidates are
-    struck.
+    struck, and a seeded order's four bytes per candidate before it is built.
     """
     if not state.anchors:
         raise ValueError("state has no initial anchor; use DenseQState.start")
@@ -364,19 +383,13 @@ def dense_q_step(
     # off 0 mod p^k there and only the primes above n^2 need striking
     primes = [p for p in primes_upto(integer_kth_root(hi + n, k)) if p > n * n]
     good = translate_flags(first, count, small_free, primes, k, step=modulus)
-    order = range(count)
-    if seed is not None:
-        # the shuffle permutes by position only, so shuffling the indices
-        # visits the candidates in the same order as shuffling their values
-        order = list(order)
-        Random(seed).shuffle(order)
-    examined = next((j for j, i in enumerate(order, 1) if good[i]), 0)
-    if not examined:
+    i, examined = _first_good(good, seed)
+    if i < 0:
         raise BudgetError(
             f"none of the {count} candidate multiples preserved the k-free "
             f"numbers up to {n}"
         )
-    anchor = first + order[examined - 1] * modulus
+    anchor = first + i * modulus
 
     # density report on a geometric grid, capped by the inspection budget
     r_cap = min(anchor, grid_budget)
@@ -389,25 +402,17 @@ def dense_q_step(
         grid_points.append(r_cap)
     grid = []
     if grid_points:
-        top = grid_points[-1]
-        low_flags = kfree_window(1, top, k).flags
-        high_flags = kfree_window(anchor + 1, top, k).flags
-        good = 0
-        next_idx = 0
-        for a in range(1, top + 1):
-            if low_flags[a - 1] and high_flags[a - 1]:
-                good += 1
-            if next_idx < len(grid_points) and a == grid_points[next_idx]:
-                grid.append((a, good / a))
-                next_idx += 1
+        both = _both_kfree(1, grid_points[-1], anchor, k)
+        good = prev = 0
+        for r in grid_points:
+            good += both.count(1, prev, r)
+            grid.append((r, good / r))
+            prev = r
 
     materialized = anchor - n <= slice_budget
     if materialized:
-        mid_flags = kfree_window(n + 1, anchor - n, k).flags
-        shifted_flags = kfree_window(anchor + n + 1, anchor - n, k).flags
-        piece = tuple(
-            n + 1 + i for i in range(anchor - n) if mid_flags[i] and shifted_flags[i]
-        )
+        both = _both_kfree(n + 1, anchor - n, anchor, k)
+        piece = tuple(compress(range(n + 1, anchor + 1), both))
     else:
         piece = None
 

@@ -5,14 +5,6 @@ class KfreeError(Exception):
     """Base class for package-specific failures."""
 
 
-class CoverageError(KfreeError):
-    """A prime table is too small to decide the question exactly.
-
-    Raised instead of guessing: an operation never reports k-freeness for
-    numbers whose relevant prime range it has not actually checked.
-    """
-
-
 class ResourceError(KfreeError):
     """A request exceeds the configured memory budget."""
 

@@ -1,14 +1,14 @@
 """Prime tables, k-free sieving and counting, and residue-class arithmetic.
 
 Everything here is exact integer work; floating point appears only in the
-density main term x / zeta(k).  Operations that need primes beyond their
-table raise :class:`~kfree.errors.CoverageError` rather than guessing.
+density main term x / zeta(k).
 
 Every prime the package uses comes from one source, :func:`primes_upto`: a
 memo of the primes found so far, stored as an ``array("I")`` and grown only
 upward, by sieving just the new segment with the primes it already holds.
 Each request is checked against the byte cap, whatever the memo holds, so
-results and errors never depend on earlier calls.
+results and errors never depend on earlier calls: a request past the cap
+raises :class:`~kfree.errors.ResourceError`.
 
 k-free windows are sieved by striking the multiples of p**k, the one-element
 case of :func:`translate_flags`, the strike kernel behind every window and
@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, log, pi
 
-from .errors import CoverageError, ResourceError
+from .errors import ResourceError
 
 # Block length of the Moebius sieve behind counting; it bounds that sieve's
 # memory no matter how large x gets.
@@ -68,16 +68,6 @@ class PrimeTable:
 
     limit: int
     primes: tuple[int, ...]
-
-    def covers(self, bound: int) -> bool:
-        return self.limit >= bound
-
-    def require(self, bound: int) -> None:
-        if not self.covers(bound):
-            raise CoverageError(
-                f"prime table up to {self.limit} cannot decide questions "
-                f"needing primes up to {bound}"
-            )
 
     def nth(self, r: int) -> int:
         """r-th prime, 1-indexed (nth(1) == 2)."""
@@ -133,15 +123,6 @@ def build_prime_table(limit: int) -> PrimeTable:
     return PrimeTable(limit, tuple(primes_upto(limit)))
 
 
-def _primes_for(bound: int, table: PrimeTable | None):
-    """The supplied table's primes (enforcing coverage), or the memo's up to
-    ``bound``."""
-    if table is None:
-        return primes_upto(bound)
-    table.require(bound)
-    return table.primes
-
-
 def nth_prime(r: int) -> int:
     """r-th prime, 1-indexed, read from the primes up to a Rosser-style
     upper bound."""
@@ -153,27 +134,25 @@ def nth_prime(r: int) -> int:
     return primes_upto(bound)[r - 1]
 
 
-def smallest_power_divisor(n: int, k: int = 2, table: PrimeTable | None = None) -> int | None:
+def smallest_power_divisor(n: int, k: int = 2) -> int | None:
     """Smallest prime p with p**k | n, or None if n is k-free.
 
-    Needs primes up to n**(1/k); raises CoverageError on a short table.
+    Tries the primes up to n**(1/k) from :func:`primes_upto`, so a root past
+    the byte cap raises ResourceError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
-    root = integer_kth_root(n, k)
-    for p in _primes_for(root, table):
-        if p > root:
-            break
+    for p in primes_upto(integer_kth_root(n, k)):
         if n % p**k == 0:
             return p
     return None
 
 
-def is_power_free(n: int, k: int = 2, table: PrimeTable | None = None) -> bool:
+def is_power_free(n: int, k: int = 2) -> bool:
     """True iff no prime power p**k divides n."""
-    return smallest_power_divisor(n, k, table) is None
+    return smallest_power_divisor(n, k) is None
 
 
 @dataclass(frozen=True)
@@ -228,7 +207,7 @@ def translate_flags(lo: int, count: int, elements, primes, k: int, step: int = 1
     return flags
 
 
-def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None = None) -> KFreeWindow:
+def kfree_window(start: int, length: int, k: int = 2) -> KFreeWindow:
     """Sieve k-free flags for [start, start+length) by striking multiples of p**k."""
     if start < 1:
         raise ValueError("window start must be >= 1")
@@ -239,10 +218,7 @@ def kfree_window(start: int, length: int, k: int = 2, table: PrimeTable | None =
     if length == 0:
         return KFreeWindow(start, 0, k, b"")
     _require_bytes(length, f"window of length {length}")
-    root = integer_kth_root(start + length - 1, k)
-    primes = _primes_for(root, table)
-    if primes and primes[-1] > root:  # a supplied table may reach further
-        primes = primes[: bisect_right(primes, root)]
+    primes = primes_upto(integer_kth_root(start + length - 1, k))
     return KFreeWindow(start, length, k, bytes(translate_flags(start, length, (0,), primes, k)))
 
 
@@ -270,20 +246,15 @@ def _mobius_block(lo: int, hi: int, primes) -> list[int]:
     return mu
 
 
-def count_power_free_upto(
-    x: int,
-    k: int = 2,
-    table: PrimeTable | None = None,
-    segment: int = DEFAULT_SEGMENT,
-) -> int:
+def count_power_free_upto(x: int, k: int = 2, segment: int = DEFAULT_SEGMENT) -> int:
     """Exact count of k-free integers in [1, x].
 
     Sums mu(d) * floor(x / d^k) over d <= r = x^(1/k) (the k-th powers of the
     squarefree d include-exclude the multiples of p^k), in O(r log log r)
     time.  mu is sieved in blocks of ``segment`` consecutive d, which bounds
-    memory to O(segment); the primes used go up to sqrt(r), and a supplied
-    ``table`` that stops short of them raises CoverageError.  A sum of more
-    than ``PRIME_TABLE_BYTE_CAP`` terms raises ResourceError before any work.
+    memory to O(segment), from the primes up to sqrt(r) given by
+    :func:`primes_upto`.  A sum of more than ``PRIME_TABLE_BYTE_CAP`` terms
+    raises ResourceError before any prime is requested.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -293,7 +264,7 @@ def count_power_free_upto(
         raise ValueError("segment must be >= 1")
     root = integer_kth_root(x, k)
     _require_bytes(root, f"Moebius sum over d <= {root}")
-    primes = _primes_for(isqrt(root), table)
+    primes = primes_upto(isqrt(root))
     total = 0
     for lo in range(1, root + 1, segment):
         hi = min(lo + segment, root + 1)

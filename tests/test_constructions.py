@@ -169,6 +169,20 @@ class TestSuffWitnessSearch:
         with pytest.raises(ValueError):
             suff_witness_search([7], 3)
 
+    @pytest.mark.parametrize(
+        "x, theta, seed, count",
+        [
+            (1000, 0.1, None, 501),  # W = 1: every n in [500, 1000]
+            (8103, 0.24, 5, 1013),  # W = 4: 4052, 4056, ..., 8100
+        ],
+    )
+    def test_one_candidate_cap(self, monkeypatch, x, theta, seed, count):
+        monkeypatch.setattr("kfree.constructions.DEFAULT_RANGE_CAP", count)
+        assert suff_witness_search([3, 5], x, theta, seed=seed)
+        monkeypatch.setattr("kfree.constructions.DEFAULT_RANGE_CAP", count - 1)
+        with pytest.raises(BudgetError, match="exceeds cap"):
+            suff_witness_search([3, 5], x, theta, seed=seed)
+
 
 class TestDenseAnchors:
     def test_small_step(self):
@@ -251,6 +265,16 @@ class TestDenseStepAgainstTrialDivision:
         monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 138)
         with pytest.raises(ResourceError, match="139 candidate multiples"):
             dense_q_step(DenseQState.start(2), 0.5, 10**4)
+
+    def test_seeded_order_checked_at_four_bytes_a_candidate(self, monkeypatch):
+        # the 139 candidates pass a 300-byte cap, their seeded order (556
+        # bytes) does not; small budgets keep the density strikes under it
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 300)
+        budgets = {"grid_budget": 100, "slice_budget": 100}
+        with pytest.raises(ResourceError, match="seeded order of 139 candidates"):
+            dense_q_step(DenseQState.start(2), 0.5, 10**4, seed=1, **budgets)
+        state = dense_q_step(DenseQState.start(2), 0.5, 10**4, **budgets)
+        assert state.anchors == [2, 5004]
 
 
 class TestSampler:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kfree.errors import CoverageError, ResourceError
+from kfree.errors import ResourceError
 from kfree.sieve import (
     ResidueClass,
     build_prime_table,
@@ -25,11 +25,6 @@ from oracles import (
 )
 
 APERY = 1.2020569031595942  # zeta(3)
-
-
-@pytest.fixture(scope="module")
-def table_10k():
-    return build_prime_table(10_000)
 
 
 def test_build_prime_table_small():
@@ -85,73 +80,61 @@ def test_is_power_free_examples():
     assert not is_power_free(8, 3)
 
 
-def test_is_power_free_agrees_with_factorization(table_10k):
+def test_is_power_free_agrees_with_factorization():
     for k in (2, 3):
         for n in range(1, 10_001):
-            assert is_power_free(n, k, table_10k) == kfree_by_factorization(n, k), n
+            assert is_power_free(n, k) == kfree_by_factorization(n, k), n
 
 
-def test_smallest_power_divisor(table_10k):
+def test_smallest_power_divisor():
     assert smallest_power_divisor(4) == 2
     assert smallest_power_divisor(45) == 3
     assert smallest_power_divisor(10) is None
 
 
-def test_coverage_error_is_raised_not_guessed():
-    small = build_prime_table(3)
-    with pytest.raises(CoverageError):
-        is_power_free(10_007**2, 2, small)
-    with pytest.raises(CoverageError):
-        kfree_window(10**6, 10, 2, small)
-    with pytest.raises(CoverageError):
-        count_power_free_upto(10**6, 2, small)
-
-
-def test_kfree_window_examples(table_10k):
-    assert kfree_window(1, 10, 2, table_10k).members() == [1, 2, 3, 5, 6, 7, 10]
-    assert kfree_window(48, 6, 2, table_10k).members() == [51, 53]
-    empty = kfree_window(5, 0, 2, table_10k)
+def test_kfree_window_examples():
+    assert kfree_window(1, 10, 2).members() == [1, 2, 3, 5, 6, 7, 10]
+    assert kfree_window(48, 6, 2).members() == [51, 53]
+    empty = kfree_window(5, 0, 2)
     assert empty.count() == 0 and empty.members() == []
 
 
-def test_kfree_window_matches_pointwise(table_10k):
+def test_kfree_window_matches_pointwise():
     rng = random.Random(20260810)
     for _ in range(1000):
         y = rng.randrange(1, 5000)
         length = rng.randrange(0, 513)
         k = rng.choice((2, 2, 3))
-        window = kfree_window(y, length, k, table_10k)
+        window = kfree_window(y, length, k)
         for n in range(y, y + length):
-            assert window.is_free(n) == is_power_free(n, k, table_10k), (y, length, k, n)
+            assert window.is_free(n) == is_power_free(n, k), (y, length, k, n)
 
 
-def test_count_power_free_examples(table_10k):
-    assert count_power_free_upto(1, 2, table_10k) == 1
-    assert count_power_free_upto(10, 2, table_10k) == 7
-    assert count_power_free_upto(100, 2, table_10k) == 61
-    assert count_power_free_upto(100, 2, table_10k) == count_kfree_oracle(100)
-    assert count_power_free_upto(0, 2, table_10k) == 0
+def test_count_power_free_examples():
+    assert count_power_free_upto(1, 2) == 1
+    assert count_power_free_upto(10, 2) == 7
+    assert count_power_free_upto(100, 2) == 61
+    assert count_power_free_upto(100, 2) == count_kfree_oracle(100)
+    assert count_power_free_upto(0, 2) == 0
 
 
-def test_count_power_free_delta_is_indicator(table_10k):
+def test_count_power_free_delta_is_indicator():
     for k in (2, 3):
-        flags = kfree_window(1, 10_000, k, table_10k).flags
+        flags = kfree_window(1, 10_000, k).flags
         running = 0
         for x in range(1, 10_001):
             running += flags[x - 1]
             if x <= 2000 or x % 250 == 0:
-                assert count_power_free_upto(x, k, table_10k) == running, (k, x)
+                assert count_power_free_upto(x, k) == running, (k, x)
         # the unit-step identity follows; check it directly on a dense prefix
         for x in range(2, 2000):
-            delta = count_power_free_upto(x, k, table_10k) - count_power_free_upto(
-                x - 1, k, table_10k
-            )
-            assert delta == int(is_power_free(x, k, table_10k))
+            delta = count_power_free_upto(x, k) - count_power_free_upto(x - 1, k)
+            assert delta == int(is_power_free(x, k))
 
 
-def test_count_segmentation_is_invisible(table_10k):
+def test_count_segmentation_is_invisible():
     for seg in (7, 64, 1 << 16):
-        assert count_power_free_upto(5000, 2, table_10k, segment=seg) == count_kfree_oracle(5000)
+        assert count_power_free_upto(5000, 2, segment=seg) == count_kfree_oracle(5000)
 
 
 def test_density_main_term():
@@ -261,18 +244,11 @@ def test_count_matches_window_sieve_random():
             assert count_power_free_upto(x, k, segment=segment) == expected, (x, k, segment)
 
 
-def test_count_table_needs_primes_to_root_of_root():
-    # Q_2(10^8) sums over d <= 10^4, whose Moebius sieve strikes primes <= 100
-    with pytest.raises(CoverageError):
-        count_power_free_upto(10**8, 2, build_prime_table(99))
-    assert count_power_free_upto(10**8, 2, build_prime_table(100)) == 60792694
-
-
 def test_count_validates_before_any_work(monkeypatch):
-    def no_table(limit):
-        raise AssertionError(f"built a prime table up to {limit}")
+    def no_primes(limit):
+        raise AssertionError(f"requested the primes up to {limit}")
 
-    monkeypatch.setattr("kfree.sieve.build_prime_table", no_table)
+    monkeypatch.setattr("kfree.sieve.primes_upto", no_primes)
     for x, k in ((10**8, 1), (10**8, 0), (10**30, 1)):
         with pytest.raises(ValueError, match="k must be"):
             count_power_free_upto(x, k)

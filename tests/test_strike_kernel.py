@@ -131,11 +131,11 @@ class TestPropertyPEvidence:
             assert property_p_evidence(values, n_max, k) == expected
 
     def test_window_over_byte_cap_raises_before_allocating(self, monkeypatch):
-        def no_table(limit):
-            raise AssertionError("prime table built before the byte cap check")
+        def no_primes(limit):
+            raise AssertionError("primes requested before the byte cap check")
 
         monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
-        monkeypatch.setattr("kfree.sieve.build_prime_table", no_table)
+        monkeypatch.setattr("kfree.sieve.primes_upto", no_primes)
         with pytest.raises(ResourceError):
             property_p_evidence([1, 5], 10**5)
 
