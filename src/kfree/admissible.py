@@ -162,6 +162,7 @@ def admissible_max_lower_shift(
     """
     if x < 1:
         raise ValueError("x must be >= 1")
+    _require_bytes(x, f"window of length {x}")
     primes = _constraining_primes(x, k)
     candidates: list[int] = list(shifts) if shifts is not None else ([0] if not random_draws else [])
     rng = Random(seed)

@@ -8,19 +8,18 @@ a deterministic increasing scan, with seeded-random candidate orders offered
 for experiments; identical inputs and seeds always reproduce identical output.
 """
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from math import ceil, exp, log
-from random import Random
 
 from .errors import BudgetError, NotAdmissibleError
 from .properties import (
-    DEFAULT_RANGE_CAP,
     Certification,
     NoWitness,
     NotAdmissible,
     WitnessReport,
+    _first_good,
+    _witness_scan,
     admissibility_certificate,
     as_elements,
 )
@@ -193,23 +192,6 @@ def greedy_squarefree_sums(count: int, include_diagonal: bool = True, k: int = 2
     return GreedyResult(tuple(terms), tuple(skipped))
 
 
-def _first_good(good: bytearray, seed: int | None) -> tuple[int, int]:
-    """Index and 1-based scan position of the first nonzero entry of ``good``,
-    scanning in increasing order or, given a seed, in seeded random order;
-    (-1, 0) when every entry is zero.  The seeded order costs four bytes per
-    entry, checked against the byte cap before it is built."""
-    if seed is None:
-        i = good.find(1)
-        return i, i + 1
-    count = len(good)
-    _require_bytes(4 * count, f"seeded order of {count} candidates")
-    # the shuffle permutes by position only, so shuffling the indices
-    # visits the candidates in the same order as shuffling their values
-    order = array("I", range(count))
-    Random(seed).shuffle(order)
-    return next(((i, j) for j, i in enumerate(order, 1) if good[i]), (-1, 0))
-
-
 # --- primorial-structured witness search ---------------------------------------
 
 
@@ -232,8 +214,8 @@ def suff_witness_search(
     exponent taken from ``forward_exponent``), in increasing order, or in
     seeded random order when a seed is given.  All candidates are sieved at
     once over the primes not dividing W; the avoided classes already keep
-    n + a off 0 mod p^k for the primes that do.  More than
-    ``DEFAULT_RANGE_CAP`` candidates raise BudgetError before any strike.
+    n + a off 0 mod p^k for the primes that do.  More candidates than the
+    byte cap raise ResourceError before any strike.
     """
     elements = as_elements(values)
     if not 0 < theta < 0.25:
@@ -272,17 +254,7 @@ def suff_witness_search(
         raise ValueError("interval must start at 1 or later")
 
     first = lo + (target - lo) % modulus
-    count = max(0, (hi - first) // modulus + 1)
-    if count > DEFAULT_RANGE_CAP:
-        raise BudgetError(f"scan range [{lo}, {hi}] exceeds cap {DEFAULT_RANGE_CAP}")
-    needed = integer_kth_root(hi + relevant[-1], k) if relevant else 0
-    certification = Certification.checked_to(needed, prime_cutoff)
-    primes = [p for p in primes_upto(certification.prime_cutoff) if modulus % p]
-    good = translate_flags(first, count, relevant, primes, k, step=modulus)
-    i, _ = _first_good(good, seed)
-    if i < 0:
-        return NoWitness(count)
-    return WitnessReport.sieved(first + i * modulus, certification, relevant)
+    return _witness_scan(relevant, lo, hi, first, modulus, k, prime_cutoff, seed)
 
 
 # --- dense anchors: iterated key construction ----------------------------------
@@ -397,7 +369,8 @@ def dense_q_step(
     r = n
     while r <= r_cap:
         grid_points.append(r)
-        r = max(r + 1, int(r * (1 + epsilon)))
+        # capped before int(), so an infinite epsilon still ends the grid
+        r = max(r + 1, int(min(r * (1 + epsilon), r_cap + 1)))
     if grid_points and grid_points[-1] != r_cap:
         grid_points.append(r_cap)
     grid = []
@@ -457,7 +430,7 @@ def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[
     Deterministic per seed: each n gets one counter-based uniform draw, so the
     sample is independent of evaluation order.
     """
-    if c <= 0:
+    if not c > 0:  # NaN-safe
         raise ValueError("c must be positive")
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
@@ -550,6 +523,10 @@ def overp_base_point(
     )
 
 
+# Largest primorial power, in bits, that overp_sequence will build.
+PRIMORIAL_BIT_BUDGET = 1 << 20
+
+
 @dataclass(frozen=True)
 class OverPSequence:
     thresholds: tuple[int, ...]
@@ -566,7 +543,6 @@ def overp_sequence(
     induced_cap: int = 200,
     max_candidates: int = 100_000,
     verify_prime_cap: int = 100_000,
-    primorial_bit_budget: int = 1 << 20,
 ) -> OverPSequence:
     """Anchors n_1 < ... < n_depth at thresholds P_j = ceil(scale * e^(e^j)),
     each a base point per :func:`overp_base_point`, plus the induced set of
@@ -586,10 +562,10 @@ def overp_sequence(
             raise BudgetError(f"threshold at depth {j} is astronomically large")
         t = ceil(scale * exp(inner))
         # theta(P) ~ P, so the primorial power needs about 1.45 * k * P bits
-        if 1.45 * k * t > primorial_bit_budget:
+        if 1.45 * k * t > PRIMORIAL_BIT_BUDGET:
             raise BudgetError(
                 f"primorial power at threshold {t} needs roughly "
-                f"{int(1.45 * k * t)} bits, over the {primorial_bit_budget}-bit budget"
+                f"{int(1.45 * k * t)} bits, over the {PRIMORIAL_BIT_BUDGET}-bit budget"
             )
         thresholds.append(t)
     thresholds = tuple(thresholds)

@@ -11,11 +11,13 @@ All searches are deterministic with fixed tie-breaking: smallest witness,
 smallest avoided residue, lexicographically first violation.
 """
 
+from array import array
 from dataclasses import dataclass
 from math import factorial
+from random import Random
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetError, KfreeError, NotAdmissibleError
+from .errors import KfreeError, NotAdmissibleError
 from .sieve import (
     ResidueClass,
     _require_bytes,
@@ -28,9 +30,6 @@ from .sieve import (
 
 FULL = "FULL"
 PI_CERTIFIED = "PI_CERTIFIED"
-
-# Guard against accidentally materializing astronomically long scan ranges.
-DEFAULT_RANGE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,8 @@ def admissibility_certificate(
         occupied = {a % q for a in elements}
         if len(occupied) == q:
             return NotAdmissible(p)
-        b = min(set(range(q)) - occupied)
-        explicit[p] = ResidueClass(b, q)
+        # the least free class, in at most |occupied| + 1 probes
+        explicit[p] = ResidueClass(next(b for b in range(q) if b not in occupied), q)
     note = (
         f"every prime p with p^{k} > {len(elements)} avoids some class modulo p^{k} "
         f"by pigeonhole ({len(elements)} elements cannot occupy p^{k} classes)"
@@ -267,7 +266,7 @@ def named_sequence_certificate(tag: str, p: int) -> ResidueClass:
         occupied = {sign % q, -sign % q}  # the j >= 2p tail
         for j in range(named_sequence_first_index(tag), 2 * p):
             occupied.add(_named_term_mod(tag, j, q))
-        cls = ResidueClass(min(set(range(q)) - occupied), q)
+        cls = ResidueClass(next(b for b in range(q) if b not in occupied), q)
     else:
         raise ValueError(f"unknown sequence tag {tag!r}")
     _check_named_certificate(tag, p, cls)
@@ -299,13 +298,44 @@ def _order_of_two(modulus: int) -> int:
 # --- translate witnesses -----------------------------------------------------
 
 
+def _first_good(good: bytearray, seed: int | None) -> tuple[int, int]:
+    """Index and 1-based scan position of the first nonzero entry of ``good``,
+    scanning in increasing order or, given a seed, in seeded random order;
+    (-1, 0) when every entry is zero.  The seeded order costs four bytes per
+    entry, checked against the byte cap before it is built."""
+    if seed is None:
+        i = good.find(1)
+        return i, i + 1
+    count = len(good)
+    _require_bytes(4 * count, f"seeded order of {count} candidates")
+    # the shuffle permutes by position only, so shuffling the indices
+    # visits the candidates in the same order as shuffling their values
+    order = array("I", range(count))
+    Random(seed).shuffle(order)
+    return next(((i, j) for j, i in enumerate(order, 1) if good[i]), (-1, 0))
+
+
+def _witness_scan(
+    elements, lo: int, hi: int, first: int, step: int, k: int, prime_cutoff, seed=None
+) -> WitnessReport | NoWitness:
+    """Scan the candidates n = first + i*step <= hi, in increasing or seeded
+    order, for the first with no translate n + a divisible by a checked p^k;
+    only primes prime to ``step`` are struck.  The count is checked against
+    the byte cap before any prime is requested."""
+    count = max(0, (hi - first) // step + 1)
+    _require_bytes(count, f"scan range [{lo}, {hi}]")
+    needed = integer_kth_root(hi + elements[-1], k) if elements else 0
+    certification = Certification.checked_to(needed, prime_cutoff)
+    primes = [p for p in primes_upto(certification.prime_cutoff) if step % p]
+    good = translate_flags(first, count, elements, primes, k, step=step)
+    i, _ = _first_good(good, seed)
+    if i < 0:
+        return NoWitness(count)
+    return WitnessReport.sieved(first + i * step, certification, elements)
+
+
 def find_translate_witness(
-    values,
-    lo: int,
-    hi: int,
-    k: int = 2,
-    prime_cutoff: int | None = None,
-    range_cap: int = DEFAULT_RANGE_CAP,
+    values, lo: int, hi: int, k: int = 2, prime_cutoff: int | None = None
 ) -> WitnessReport | NoWitness:
     """Smallest n in [lo, hi] with n + a k-free for every element a.
 
@@ -314,23 +344,15 @@ def find_translate_witness(
     sieved out by striking the classes -a mod p^k instead of testing each
     candidate: the translate n + a is divisible by p^k exactly when
     n = -a (mod p^k).  So no checked p^k divides any translate of the
-    witness, and every trace entry's divisor is None.
+    witness, and every trace entry's divisor is None.  A range longer than
+    the byte cap raises ResourceError before any prime is requested.
     """
     elements = as_elements(values)
     if lo < 1:
         raise ValueError("interval must start at 1 or later")
     if hi < lo:
         return NoWitness(0)
-    length = hi - lo + 1
-    if length > range_cap:
-        raise BudgetError(f"scan range [{lo}, {hi}] exceeds cap {range_cap}")
-    needed = integer_kth_root(hi + elements[-1], k) if elements else 0
-    certification = Certification.checked_to(needed, prime_cutoff)
-    primes = primes_upto(certification.prime_cutoff)
-    i = translate_flags(lo, length, elements, primes, k).find(1)
-    if i < 0:
-        return NoWitness(length)
-    return WitnessReport.sieved(lo + i, certification, elements)
+    return _witness_scan(elements, lo, hi, lo, 1, k, prime_cutoff)
 
 
 def check_q_prefix(

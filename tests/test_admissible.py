@@ -206,6 +206,18 @@ class TestLowerShift:
             count, _ = admissible_max_lower_shift(x, shifts=range(2000), random_draws=50, seed=1)
             assert count <= admissible_max_exact(x).value
 
+    def test_window_byte_cap_is_checked_before_any_prime(self, monkeypatch):
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 10**4)
+        count, _ = admissible_max_lower_shift(10**4, shifts=[0])
+        assert count == count_power_free_upto(10**4)
+
+        def no_primes(n):
+            raise AssertionError("primes requested")
+
+        monkeypatch.setattr(admissible, "primes_upto", no_primes)
+        with pytest.raises(ResourceError, match="window of length"):
+            admissible_max_lower_shift(10**4 + 1, shifts=[0])
+
 
 class TestUpperSieve:
     def test_examples(self):

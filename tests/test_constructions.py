@@ -177,10 +177,16 @@ class TestSuffWitnessSearch:
         ],
     )
     def test_one_candidate_cap(self, monkeypatch, x, theta, seed, count):
-        monkeypatch.setattr("kfree.constructions.DEFAULT_RANGE_CAP", count)
+        # one byte per candidate for the strike, four more for a seeded order
+        fits = count if seed is None else 4 * count
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", fits)
         assert suff_witness_search([3, 5], x, theta, seed=seed)
-        monkeypatch.setattr("kfree.constructions.DEFAULT_RANGE_CAP", count - 1)
-        with pytest.raises(BudgetError, match="exceeds cap"):
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", fits - 1)
+        if seed is not None:
+            with pytest.raises(ResourceError, match=f"seeded order of {count} candidates"):
+                suff_witness_search([3, 5], x, theta, seed=seed)
+            monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", count - 1)
+        with pytest.raises(ResourceError, match="scan range"):
             suff_witness_search([3, 5], x, theta, seed=seed)
 
 

@@ -1,10 +1,12 @@
 import io
+import json
 import os
 import random
 
 import pytest
 
 from kfree.cli import figure_shift_data, main, render_figure_csv
+from kfree.constructions import DenseQState, dense_q_step
 from kfree.errors import BudgetError
 from kfree.oeis import (
     BFile,
@@ -266,6 +268,7 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["construct", "dense-q", "--x", "0"],
         ["sieve-bound", "--n", "10", "--q", "0"],
         ["admissible-max", "--x", "0"],
+        ["construct", "sample-counter", "--c", "nan", "--xmax", "1000"],
     ],
 )
 def test_bad_input_exits_1_without_traceback(argv, capsys):
@@ -280,6 +283,13 @@ def test_negative_dense_q_steps_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_infinite_dense_q_epsilon_grid_is_n_and_cap(capsys):
+    code, text = run_cli(["construct", "dense-q", "--x", "10000", "--epsilon", "inf"])
+    assert code == 0 and json.loads(text) == {"anchors": [2, 5004]}
+    report = dense_q_step(DenseQState.start(2), float("inf"), 10**4).reports[-1]
+    assert [r for r, _ in report.grid] == [2, 5004]
 
 
 def test_admissible_max_over_mask_byte_cap_exits_1(capsys):

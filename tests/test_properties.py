@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
 
-from kfree.errors import KfreeError, NotAdmissibleError
+from kfree import properties, sieve
+from kfree.errors import KfreeError, NotAdmissibleError, ResourceError
 from kfree.properties import (
     _check_named_certificate,
     AvoidanceCertificate,
@@ -88,6 +90,29 @@ class TestAdmissibility:
             subset = sorted(rng.sample(base, rng.randrange(1, len(base) + 1)))
             assert isinstance(admissibility_certificate(subset), AvoidanceCertificate)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_least_free_class_matches_set_difference(self, k):
+        rng = random.Random(29 + k)
+        for _ in range(100):
+            elements = sorted(rng.sample(range(1, 400), rng.randrange(1, 40)))
+            cert = admissibility_certificate(elements, k, prime_bound=13)
+            if isinstance(cert, NotAdmissible):
+                continue
+            for p, cls in cert.explicit.items():
+                q = p**k
+                assert cls == ResidueClass(min(set(range(q)) - {a % q for a in elements}), q)
+
+    def test_no_class_list_is_built(self):
+        # listing every class modulo p^2 for p <= 300 peaks near 10 MB
+        tracemalloc.start()
+        try:
+            cert = admissibility_certificate([1, 2, 3], prime_bound=300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.avoided(293) == ResidueClass(0, 293**2)
+        assert peak < 1_000_000
+
 
 class TestNamedSequences:
     def test_terms(self):
@@ -108,6 +133,15 @@ class TestNamedSequences:
             named_sequence_term("A1", 0)
         with pytest.raises(ValueError):
             named_sequence_term("A9", 1)
+
+    @pytest.mark.parametrize("tag", ["A3", "A4"])
+    def test_factorial_certificates_match_set_difference(self, tag):
+        for p in (2, 3, 5, 7, 11, 13, 97):
+            q = p * p
+            sign = 1 if tag == "A3" else -1
+            occupied = {sign % q, -sign % q}
+            occupied |= {named_sequence_term(tag, j) % q for j in range(2 if tag == "A4" else 1, 2 * p)}
+            assert named_sequence_certificate(tag, p) == ResidueClass(min(set(range(q)) - occupied), q)
 
     def test_certificates_match_closed_forms(self):
         assert named_sequence_certificate("A2", 2) == ResidueClass(2, 4)
@@ -173,9 +207,18 @@ class TestTranslateWitness:
     def test_empty_interval(self):
         assert find_translate_witness([1], 7, 6) == NoWitness(0)
 
-    def test_astronomical_elements_need_explicit_cutoff(self):
-        from kfree.errors import ResourceError
+    def test_scan_byte_cap_is_checked_before_any_prime(self, monkeypatch):
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 1000)
+        assert find_translate_witness([1, 2], 1, 1000).witness == 1
 
+        def no_primes(n):
+            raise AssertionError("primes requested")
+
+        monkeypatch.setattr(properties, "primes_upto", no_primes)
+        with pytest.raises(ResourceError, match=r"scan range \[1, 1001\]"):
+            find_translate_witness([1, 2], 1, 1001)
+
+    def test_astronomical_elements_need_explicit_cutoff(self):
         huge = named_sequence_term("A3", 25)
         with pytest.raises(ResourceError):
             find_translate_witness([huge], 1, 10)  # full certification infeasible
