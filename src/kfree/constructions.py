@@ -323,7 +323,7 @@ def dense_q_step(
     """
     if not state.anchors:
         raise ValueError("state has no initial anchor; use DenseQState.start")
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN-safe
         raise ValueError("epsilon must be positive")
     k = state.k
     n = state.anchors[-1]
@@ -417,27 +417,52 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _uniform01(seed: int, n: int) -> float:
-    """Counter-based uniform draw keyed by (seed, n); order-independent."""
-    z = _splitmix64(_splitmix64(seed & _MASK64) ^ (n & _MASK64))
-    return _splitmix64(z) / 2**64
+def _reject_bound(n0: int, c: float) -> int:
+    """An integer bound B with B / 2**64 >= membership_probability(n, c) for
+    every n in [n0, 2*n0) when n0 >= 10, where c * ln n * lnln n / n
+    decreases; the 2**-30 margin absorbs the rounding of both probabilities.
+    Where the probability is capped at 1, B exceeds every 64-bit draw."""
+    return ceil(membership_probability(n0, c) * (1 + 2**-30) * 2**64) + 1
 
 
 def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[int, ...]:
     """Random k-free subset of [3, x_max], each k-free n included independently
     with probability min(c * ln n * lnln n / n, 1).
 
-    Deterministic per seed: each n gets one counter-based uniform draw, so the
-    sample is independent of evaluation order.
+    Deterministic per seed: each n gets one counter-based 64-bit draw z, the
+    splitmix64 mix of (mix of seed) xor n, mixed once more, and is kept when
+    z / 2**64 < membership_probability(n, c), so the sample is independent of
+    evaluation order.
+
+    The members are cut into doubling blocks [n0, 2*n0) from the first member
+    n0 >= 10, and each block gets one integer bound B = _reject_bound(n0, c).
+    A draw z >= B is rejected without the float test; the result is exact,
+    because z / 2**64 >= B / 2**64 >= p(n) throughout the block and correctly
+    rounded division is monotone, so the float test would reject it too.
+    Below 10, and wherever p is capped at 1, every n takes the float test.
     """
     if not c > 0:  # NaN-safe
         raise ValueError("c must be positive")
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
     window = kfree_window(3, x_max - 2, k)
+    mask = _MASK64
+    key = _splitmix64(seed & mask)
     chosen = []
-    for n in window.members():
-        if _uniform01(seed, n) < membership_probability(n, c):
+    bound, block_end = 1 << 64, 10
+    # n <= x_max is far below 2**64 (the window is byte-capped), so key ^ n
+    # needs no mask
+    for n in compress(range(3, x_max + 1), window.flags):
+        if n >= block_end:
+            bound, block_end = _reject_bound(n, c), 2 * n
+        z = ((key ^ n) + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z = ((z ^ (z >> 31)) + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        if z < bound and z / 2**64 < membership_probability(n, c):
             chosen.append(n)
     return tuple(chosen)
 

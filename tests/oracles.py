@@ -6,6 +6,7 @@ flat product enumeration over every residue choice.
 """
 
 from itertools import product
+from math import log
 from random import Random
 
 
@@ -186,3 +187,36 @@ def translate_free_flags(lo, count, elements, primes, k, step=1):
         int(all((lo + i * step + a) % p**k for a in elements for p in primes))
         for i in range(count)
     ]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(z):
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _uniform01(seed, n):
+    """Counter-based uniform draw keyed by (seed, n); order-independent."""
+    z = _splitmix64(_splitmix64(seed & _MASK64) ^ (n & _MASK64))
+    return _splitmix64(z) / 2**64
+
+
+def sample_flat(c, x_max, seed, k=2):
+    """``sample_counterexample`` drawn one float per k-free n in [3, x_max]:
+    n is kept when _uniform01(seed, n) < min(c * ln n * lnln n / n, 1).
+    k-freeness comes from striking the multiples of every d^k, d >= 2."""
+    free = [True] * (x_max + 1)
+    d = 2
+    while d**k <= x_max:
+        for m in range(d**k, x_max + 1, d**k):
+            free[m] = False
+        d += 1
+    return tuple(
+        n
+        for n in range(3, x_max + 1)
+        if free[n] and _uniform01(seed, n) < min(c * log(n) * log(log(n)) / n, 1.0)
+    )

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from kfree import sieve
 from kfree.constructions import (
+    _reject_bound,
     DenseQState,
     GROWTH_FUNCTIONS,
     dense_q_step,
@@ -21,7 +23,12 @@ from kfree.errors import BudgetError, NotAdmissibleError, ResourceError
 from kfree.properties import check_squarefree_sums, named_sequence_prefix
 from kfree.sieve import build_prime_table, kfree_window
 
-from oracles import dense_anchor_flat, kfree_by_factorization, trial_division_primes
+from oracles import (
+    dense_anchor_flat,
+    kfree_by_factorization,
+    sample_flat,
+    trial_division_primes,
+)
 
 
 class TestSlowDensitySequence:
@@ -233,6 +240,11 @@ class TestDenseAnchors:
         with pytest.raises(ValueError):
             dense_q_step(DenseQState(), 0.5, 100)
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_or_nan_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            dense_q_step(DenseQState.start(2), epsilon, 10**4, grid_budget=1)
+
     def test_accumulated_set_concatenates_slices(self):
         state = DenseQState.start(2)
         dense_q_step(state, 0.5, 10**4)
@@ -312,6 +324,69 @@ class TestSampler:
         sizes = [len(sample_counterexample(5, x, seed=s)) for s in range(40)]
         mean = sum(sizes) / len(sizes)
         assert abs(mean - expected) / expected < 0.15
+
+    def test_matches_flat_reference(self):
+        # x_max on both sides of every doubling-block edge up to 2**15, and
+        # seeds outside [0, 2**64) that the draw reduces mod 2**64
+        rates = (0.01, 0.5, 5, 100, 10**6, math.inf)
+        ends = (3, 9, 10, 11, 19, 20, 21) + tuple(
+            sorted({2**j + d for j in range(2, 16) for d in (-1, 0, 1)})
+        )
+        rng = random.Random(20261018)
+        for x_max in ends:
+            for c in rates if x_max <= 2**10 + 1 else rng.sample(rates, 2):
+                seed = rng.choice(
+                    (
+                        rng.randrange(-(2**70), 0),
+                        rng.randrange(2**64, 2**72),
+                        rng.randrange(2**64),
+                    )
+                )
+                k = rng.choice((2, 3))
+                assert sample_counterexample(c, x_max, seed, k) == sample_flat(
+                    c, x_max, seed, k
+                ), (c, x_max, seed, k)
+
+
+def _covers_exact_rate(bound, n, c):
+    """bound / 2**64 >= min(c * ln n * lnln n / n, 1), the rate as a real
+    number, computed to 40 significant digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ln = decimal.Decimal(n).ln()
+        rate = min(decimal.Decimal(c) * ln * ln.ln() / n, decimal.Decimal(1))
+        return decimal.Decimal(bound) / 2**64 >= rate
+
+
+class TestRejectBound:
+    """_reject_bound(n0, c) / 2**64 must cover the inclusion rate on the whole
+    block [n0, 2*n0), as computed in floats and as an exact real number."""
+
+    def _cases(self):
+        rng = random.Random(1018)
+        for _ in range(60):
+            n0 = rng.choice((10, 11, 12, rng.randrange(10, 2000)))
+            yield n0, 10 ** rng.uniform(-3, 2)
+            # p(n0) just below 1: c = n0 / (ln n0 * lnln n0), less a few ulps
+            edge = n0 / (math.log(n0) * math.log(math.log(n0)))
+            yield n0, edge * (1 - rng.randrange(1, 64) * 2**-53)
+
+    def test_covers_float_rate(self):
+        for n0, c in self._cases():
+            bound = _reject_bound(n0, c)
+            for n in range(n0, 2 * n0):
+                assert bound / 2**64 >= membership_probability(n, c), (n0, c, n)
+
+    def test_covers_exact_rate(self):
+        for n0, c in self._cases():
+            bound = _reject_bound(n0, c)
+            for n in range(n0, min(2 * n0, n0 + 40)):
+                assert _covers_exact_rate(bound, n, c), (n0, c, n)
+
+    def test_capped_rate_bound_exceeds_every_draw(self):
+        for n0 in (3, 9, 10, 1000):
+            assert _reject_bound(n0, math.inf) > 2**64 - 1
+            assert _reject_bound(n0, 10**6) > 2**64 - 1
 
 
 class TestOccupancyProbe:

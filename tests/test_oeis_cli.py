@@ -269,6 +269,7 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["sieve-bound", "--n", "10", "--q", "0"],
         ["admissible-max", "--x", "0"],
         ["construct", "sample-counter", "--c", "nan", "--xmax", "1000"],
+        ["construct", "dense-q", "--x", "10000", "--epsilon", "nan"],
     ],
 )
 def test_bad_input_exits_1_without_traceback(argv, capsys):
