@@ -61,7 +61,6 @@ from .sieve import (
     crt_combine,
     density_main_term,
     integer_kth_root,
-    is_power_free,
     kfree_window,
     primes_upto,
     smallest_power_divisor,

@@ -31,9 +31,10 @@ from .constructions import (
     suff_witness_search,
 )
 from .errors import KfreeError
-from .large_sieve import OmegaProfile, optimize_q, sieve_bound, verify_sqsieve_inequality
+from .large_sieve import OmegaProfile, es_omega, optimize_q, sieve_bound, verify_sqsieve_inequality
 from .oeis import crosscheck, load_bfile, load_manifest
 from .properties import (
+    NAMED_TAGS,
     NoWitness,
     check_q_prefix,
     check_squarefree_sums,
@@ -83,6 +84,7 @@ def _profile(name: str, k: int) -> OmegaProfile:
     if name == "constant-one":
         return OmegaProfile.constant_one(k)
     if name == "es-sumfree":
+        es_omega(2, k)  # the profile is derived for k = 2 only; raises otherwise
         return OmegaProfile.es_sumfree()
     raise ValueError(f"unknown profile {name!r}")
 
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_figure_shift)
 
     p = sub.add_parser("verify-named", help="inspect the named test sequences A1-A4")
-    p.add_argument("--tag", choices=("A1", "A2", "A3", "A4"), required=True)
+    p.add_argument("--tag", choices=NAMED_TAGS, required=True)
     p.add_argument("--prefix", type=int, default=10)
     p.add_argument(
         "--mode",

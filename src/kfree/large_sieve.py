@@ -16,10 +16,15 @@ in exact rationals; floating point appears only in the Fourier verification.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Callable, Mapping
 
+from .sieve import _require_bytes, primes_upto
+
 VERIFY_TOLERANCE = 1e-9
+
+# Bytes charged per h weight against the byte cap: tracemalloc peaks at about
+# 105 bytes per weight in h_sum at q_max = 10^4 and 10^5.
+_WEIGHT_BYTES = 120
 
 
 def es_omega(p: int, k: int = 2) -> int:
@@ -45,6 +50,10 @@ class OmegaProfile:
     k: int
     rule: Callable[[int], int]
     name: str
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
 
     def omega(self, p: int) -> int:
         value = self.rule(p)
@@ -85,30 +94,29 @@ def _h_factor(p: int, profile: OmegaProfile) -> Fraction:
     return Fraction(omega, p**profile.k - omega)
 
 
+def _require_weight_bytes(q_max: int) -> None:
+    _require_bytes(q_max * _WEIGHT_BYTES, f"h weights up to {q_max}")
+
+
 def h_weights_upto(q_max: int, profile: OmegaProfile) -> list[Fraction]:
-    """[h(1), h(2), ..., h(q_max)] via a smallest-prime-factor sieve."""
+    """[h(1), h(2), ..., h(q_max)], sieved with the primes from
+    :func:`~kfree.sieve.primes_upto`.
+
+    Each prime p, in ascending order, multiplies the nonzero weights at its
+    multiples by its factor and zeroes those at the multiples of p^2.  Each
+    weight (a Fraction and its two ints) is charged 120 bytes, and a list
+    past the byte cap raises ResourceError before anything is allocated.
+    """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    spf = list(range(q_max + 1))
-    for p in range(2, isqrt(q_max) + 1):
-        if spf[p] == p:
-            for m in range(p * p, q_max + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    factors: dict[int, Fraction] = {}
-    weights = [Fraction(1)]  # h(1)
-    for q in range(2, q_max + 1):
-        n, value = q, Fraction(1)
-        while n > 1 and value:
-            p = spf[n]
-            n //= p
-            if n % p == 0:
-                value = Fraction(0)
-            else:
-                if p not in factors:
-                    factors[p] = _h_factor(p, profile)
-                value *= factors[p]
-        weights.append(value)
+    _require_weight_bytes(q_max)
+    weights = [Fraction(1)] * q_max  # weights[q - 1] = h(q)
+    zero = Fraction(0)
+    for p in primes_upto(q_max):
+        factor = _h_factor(p, profile)
+        square = p * p
+        weights[square - 1 :: square] = [zero] * len(range(square - 1, q_max, square))
+        weights[p - 1 :: p] = [w * factor if w else w for w in weights[p - 1 :: p]]
     return weights
 
 
@@ -133,10 +141,18 @@ def sieve_bound(n_length: int, q_max: int, profile: OmegaProfile) -> Fraction:
 
 
 def optimize_q(n_length: int, profile: OmegaProfile, q_range) -> tuple[int, Fraction]:
-    """The Q in q_range minimizing sieve_bound, smallest Q on ties."""
-    q_values = sorted(set(q_range))
-    if not q_values:
+    """The Q in q_range minimizing sieve_bound, smallest Q on ties.
+
+    Each Q is checked against the weights' byte cap as it is read, so a
+    q_range reaching past the cap raises ResourceError before it is held.
+    """
+    distinct = set()
+    for q in q_range:
+        _require_weight_bytes(q)
+        distinct.add(q)
+    if not distinct:
         raise ValueError("q_range must be nonempty")
+    q_values = sorted(distinct)
     weights = h_weights_upto(q_values[-1], profile)
     partial = Fraction(0)
     position = 0

@@ -35,10 +35,6 @@ class BFile:
     source: str = ""
 
     @property
-    def first_index(self) -> int:
-        return min(self.entries)
-
-    @property
     def last_index(self) -> int:
         return max(self.entries)
 

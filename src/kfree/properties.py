@@ -252,9 +252,10 @@ def named_sequence_certificate(tag: str, p: int) -> ResidueClass:
     the terms are eventually constant.  For A3/A4 the terms equal j! +- 1 and
     are congruent to +-1 mod p^2 once j >= 2p, so enumerating the finitely
     many earlier terms leaves a computable set of avoided classes, of which
-    the smallest is returned.
+    the smallest is returned.  Primality is read from :func:`primes_upto`,
+    so a p past the byte cap raises ResourceError.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if p < 2 or primes_upto(p)[-1] != p:
         raise ValueError(f"{p} is not prime")
     q = p * p
     if tag == "A1":

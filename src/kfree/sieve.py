@@ -64,22 +64,10 @@ def integer_kth_root(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit``, strictly increasing, 1-indexed as p_1 = 2."""
+    """All primes up to ``limit``, strictly increasing."""
 
     limit: int
     primes: tuple[int, ...]
-
-    def nth(self, r: int) -> int:
-        """r-th prime, 1-indexed (nth(1) == 2)."""
-        if r < 1 or r > len(self.primes):
-            raise IndexError(f"prime index {r} outside table of {len(self.primes)}")
-        return self.primes[r - 1]
-
-    def __iter__(self):
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
 
 
 # The memo behind primes_upto: every prime up to _memo_limit, ascending.
@@ -125,12 +113,10 @@ def build_prime_table(limit: int) -> PrimeTable:
 
 def nth_prime(r: int) -> int:
     """r-th prime, 1-indexed, read from the primes up to a Rosser-style
-    upper bound."""
+    upper bound (11 for r < 6, where the bound does not hold)."""
     if r < 1:
         raise ValueError("prime index must be >= 1")
-    if r < 6:
-        return (2, 3, 5, 7, 11)[r - 1]
-    bound = int(r * (log(r) + log(log(r)))) + 1
+    bound = 11 if r < 6 else int(r * (log(r) + log(log(r)))) + 1
     return primes_upto(bound)[r - 1]
 
 
@@ -148,11 +134,6 @@ def smallest_power_divisor(n: int, k: int = 2) -> int | None:
         if n % p**k == 0:
             return p
     return None
-
-
-def is_power_free(n: int, k: int = 2) -> bool:
-    """True iff no prime power p**k divides n."""
-    return smallest_power_divisor(n, k) is None
 
 
 @dataclass(frozen=True)
@@ -307,9 +288,6 @@ class ResidueClass:
             raise ValueError("modulus must be >= 1")
         if not 0 <= self.residue < self.modulus:
             raise ValueError(f"residue {self.residue} not in [0, {self.modulus})")
-
-    def contains(self, n: int) -> bool:
-        return n % self.modulus == self.residue
 
     def __str__(self) -> str:
         return f"{self.residue} mod {self.modulus}"

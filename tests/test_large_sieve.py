@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kfree.errors import ResourceError
 from kfree.large_sieve import (
     OmegaProfile,
     es_omega,
@@ -31,10 +32,43 @@ class TestHWeight:
         assert h_weight(3, ES) == Fraction(5, 4)
 
     def test_sieved_weights_match_direct(self):
-        for profile in (CONSTANT_ONE, ES, OmegaProfile.constant_one(3)):
+        zero_at_3 = OmegaProfile(2, lambda p: 0 if p == 3 else 1, "ZERO_AT_3")
+        for profile in (CONSTANT_ONE, ES, OmegaProfile.constant_one(3), OmegaProfile.constant_one(1), zero_at_3):
             weights = h_weights_upto(300, profile)
             for q in range(1, 301):
                 assert weights[q - 1] == h_weight(q, profile), (q, profile.name)
+
+    def test_weights_read_the_shared_prime_source(self, monkeypatch):
+        from kfree import large_sieve, sieve
+
+        requests = []
+
+        def spy(n):
+            requests.append(n)
+            return sieve.primes_upto(n)
+
+        monkeypatch.setattr(large_sieve, "primes_upto", spy)
+        assert h_weights_upto(50, CONSTANT_ONE) == [h_weight(q, CONSTANT_ONE) for q in range(1, 51)]
+        assert requests == [50]
+
+    def test_invalid_omega_raises_at_its_prime(self):
+        asked = []
+
+        def rule(p):
+            asked.append(p)
+            return p * p if p == 7 else 1
+
+        bad = OmegaProfile(2, rule, "BAD_AT_7")
+        with pytest.raises(ValueError, match=r"^omega\(7\^2\) = 49 outside \[0, 49\)$"):
+            h_weights_upto(100, bad)
+        assert asked == [2, 3, 5, 7]
+
+    def test_weight_list_over_byte_cap_raises_before_allocating(self, monkeypatch):
+        monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+        with pytest.raises(ResourceError, match="h weights up to 1000 "):
+            h_weights_upto(1000, CONSTANT_ONE)
+        with pytest.raises(ResourceError, match="h weights up to 84 "):
+            optimize_q(100, CONSTANT_ONE, range(1, 10**12))
 
     def test_multiplicative_on_coprime_squarefree(self):
         weights = h_weights_upto(10_000, CONSTANT_ONE)

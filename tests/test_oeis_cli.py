@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -270,6 +271,8 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["admissible-max", "--x", "0"],
         ["construct", "sample-counter", "--c", "nan", "--xmax", "1000"],
         ["construct", "dense-q", "--x", "10000", "--epsilon", "nan"],
+        ["sieve-bound", "--n", "1000", "--q", "4", "--profile", "es-sumfree", "--k", "3"],
+        ["sieve-bound", "--n", "1000", "--q", "1", "--k", "0"],
     ],
 )
 def test_bad_input_exits_1_without_traceback(argv, capsys):
@@ -277,6 +280,27 @@ def test_bad_input_exits_1_without_traceback(argv, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sieve-bound", "--n", "10", "--q", str(10**6)],
+        ["sieve-bound", "--n", "10", "--optimize", "--qmax", str(10**6)],
+    ],
+)
+def test_sieve_bound_over_weight_byte_cap_exits_1(argv, monkeypatch, capsys):
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: h weights up to") and "Traceback" not in captured.err
+    assert peak < 10**6
 
 
 def test_negative_dense_q_steps_exits_1(capsys):

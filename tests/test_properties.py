@@ -160,8 +160,14 @@ class TestNamedSequences:
             assert term % cls.modulus != cls.residue
 
     def test_not_prime_rejected(self):
-        with pytest.raises(ValueError):
-            named_sequence_certificate("A1", 6)
+        for p in (6, 1, 0, -3, 4, 9, 91):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                named_sequence_certificate("A1", p)
+
+    def test_prime_past_byte_cap_raises_resource_error(self, monkeypatch):
+        monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 1000)
+        with pytest.raises(ResourceError):
+            named_sequence_certificate("A3", 1009)
 
     def test_hit_certificate_raises_kfree_error(self):
         # A1's first term 2^1 + 1 = 3 lies in the class 3 mod 9

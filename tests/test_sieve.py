@@ -11,7 +11,6 @@ from kfree.sieve import (
     crt_combine,
     density_main_term,
     integer_kth_root,
-    is_power_free,
     kfree_window,
     smallest_power_divisor,
     zeta,
@@ -40,14 +39,6 @@ def test_build_prime_table_100_matches_trial_division():
     assert list(table.primes) == trial_division_primes(100)
 
 
-def test_prime_table_indexing():
-    table = build_prime_table(30)
-    assert table.nth(1) == 2
-    assert table.nth(3) == 5
-    with pytest.raises(IndexError):
-        table.nth(0)
-
-
 def test_prime_table_memory_budget():
     with pytest.raises(ResourceError):
         build_prime_table(10**10)
@@ -74,16 +65,16 @@ def test_integer_kth_root():
 
 
 def test_is_power_free_examples():
-    assert is_power_free(10, 2)
-    assert not is_power_free(4, 2)
-    assert is_power_free(12, 3)  # 12 = 2^2 * 3 has no cube divisor
-    assert not is_power_free(8, 3)
+    assert smallest_power_divisor(10, 2) is None
+    assert smallest_power_divisor(4, 2) is not None
+    assert smallest_power_divisor(12, 3) is None  # 12 = 2^2 * 3 has no cube divisor
+    assert smallest_power_divisor(8, 3) is not None
 
 
 def test_is_power_free_agrees_with_factorization():
     for k in (2, 3):
         for n in range(1, 10_001):
-            assert is_power_free(n, k) == kfree_by_factorization(n, k), n
+            assert (smallest_power_divisor(n, k) is None) == kfree_by_factorization(n, k), n
 
 
 def test_smallest_power_divisor():
@@ -107,7 +98,7 @@ def test_kfree_window_matches_pointwise():
         k = rng.choice((2, 2, 3))
         window = kfree_window(y, length, k)
         for n in range(y, y + length):
-            assert window.is_free(n) == is_power_free(n, k), (y, length, k, n)
+            assert window.is_free(n) == (smallest_power_divisor(n, k) is None), (y, length, k, n)
 
 
 def test_count_power_free_examples():
@@ -129,7 +120,7 @@ def test_count_power_free_delta_is_indicator():
         # the unit-step identity follows; check it directly on a dense prefix
         for x in range(2, 2000):
             delta = count_power_free_upto(x, k) - count_power_free_upto(x - 1, k)
-            assert delta == int(is_power_free(x, k))
+            assert delta == int(smallest_power_divisor(x, k) is None)
 
 
 def test_count_segmentation_is_invisible():
