@@ -87,8 +87,6 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     if x < 1:
         raise ValueError("x must be >= 1")
     primes = _constraining_primes(x, k)
-    if not primes:
-        return AdmissibleMaxResult(x, k, x, {}, EXACT)
     _require_bytes(-(-x // 8) * sum(p**k for p in primes), f"class masks for x = {x}")
     masks = _class_masks(x, k, primes)
 

@@ -410,7 +410,7 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         return args.func(args, out)
-    except (KfreeError, ValueError, OSError) as error:
+    except (KfreeError, ValueError, OSError, OverflowError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -76,7 +76,11 @@ class SlowDensitySequence:
     active_from: dict[int, int]
 
 
-def property_p_sequence(f, count: int, k: int = 2, scan_horizon: int = 10_000) -> SlowDensitySequence:
+# Fewest indices over which property_p_sequence looks for the thresholds W_r.
+THRESHOLD_HORIZON = 10_000
+
+
+def property_p_sequence(f, count: int, k: int = 2) -> SlowDensitySequence:
     """Build a sequence of density ~1/f whose translates all eventually die.
 
     The j-th term is forced into the residue class -r mod p_r^k for every r
@@ -84,13 +88,13 @@ def property_p_sequence(f, count: int, k: int = 2, scan_horizon: int = 10_000) -
     has reached by index j; this keeps term_j <= j * f(j) while ensuring that
     term + n is divisible by p_n^k for all large terms, for every fixed n.
 
-    Thresholds are detected over max(count, scan_horizon) indices; a growth
-    function that never reaches W_1 = 2^k there is rejected, since the output
-    would carry no congruence structure at all.
+    Thresholds are detected over max(count, THRESHOLD_HORIZON) indices; a
+    growth function that never reaches W_1 = 2^k there is rejected, since the
+    output would carry no congruence structure at all.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    horizon = max(count, scan_horizon)
+    horizon = max(count, THRESHOLD_HORIZON)
 
     def threshold_index(w: int, lowest: int) -> int | None:
         # smallest j0 >= lowest with f(j) >= w for all j in [j0, horizon]
@@ -202,41 +206,34 @@ def suff_witness_search(
     interval: str = "HALF",
     k: int = 2,
     seed: int | None = None,
-    prime_cutoff: int | None = None,
-    forward_exponent: tuple[int, int] = (10, 11),
 ) -> WitnessReport | NoWitness:
     """Search for n with n + a k-free for all elements a <= x, using the
     avoidance certificate to pre-clear all primes up to theta * ln x.
 
     With W the product of p^k over p <= theta*ln(x) and b the CRT combination
     of the avoided classes, candidates run over n = -b (mod W) inside the
-    chosen interval (HALF: [x/2, x]; FORWARD: (x, x + x^(num/den)) with the
-    exponent taken from ``forward_exponent``), in increasing order, or in
-    seeded random order when a seed is given.  All candidates are sieved at
-    once over the primes not dividing W; the avoided classes already keep
-    n + a off 0 mod p^k for the primes that do.  More candidates than the
-    byte cap raise ResourceError before any strike.
+    chosen interval (HALF: [x/2, x]; FORWARD: (x, x + x^(10/11)]), in
+    increasing order, or in seeded random order when a seed is given.  All
+    candidates are sieved at once over the primes not dividing W; the avoided
+    classes already keep n + a off 0 mod p^k for the primes that do.  More
+    candidates than the byte cap raise ResourceError before any strike.
     """
     elements = as_elements(values)
     if not 0 < theta < 0.25:
         raise ValueError("theta must lie in (0, 1/4)")
     if interval not in ("HALF", "FORWARD"):
         raise ValueError(f"unknown interval mode {interval!r}")
-    num, den = forward_exponent
-    if not 0 < num <= den:
-        raise ValueError("forward exponent must lie in (0, 1]")
     if elements and x < elements[-1]:
         raise ValueError("x must be at least max(A)")
-    relevant = tuple(a for a in elements if a <= x)
 
     prime_limit = int(theta * log(x)) if x >= 2 else 0
     w_primes = primes_upto(prime_limit)
     if w_primes:
         # the certificate must cover the primorial primes and stay above the
         # decidability floor |A|^(1/k) that full-occupancy checks need
-        floor_bound = integer_kth_root(max(len(relevant), 1), k) + 1
+        floor_bound = integer_kth_root(max(len(elements), 1), k) + 1
         cert = admissibility_certificate(
-            relevant, k, prime_bound=max(w_primes[-1], floor_bound, 2)
+            elements, k, prime_bound=max(w_primes[-1], floor_bound, 2)
         )
         if isinstance(cert, NotAdmissible):
             raise NotAdmissibleError(cert.prime)
@@ -249,12 +246,12 @@ def suff_witness_search(
     if interval == "HALF":
         lo, hi = (x + 1) // 2, x
     else:
-        lo, hi = x + 1, x + integer_kth_root(x**num, den)
+        lo, hi = x + 1, x + integer_kth_root(x**10, 11)
     if lo < 1:
         raise ValueError("interval must start at 1 or later")
 
     first = lo + (target - lo) % modulus
-    return _witness_scan(relevant, lo, hi, first, modulus, k, prime_cutoff, seed)
+    return _witness_scan(elements, lo, hi, first, modulus, k, None, seed)
 
 
 # --- dense anchors: iterated key construction ----------------------------------
@@ -301,13 +298,12 @@ def _both_kfree(lo: int, length: int, anchor: int, k: int) -> bytearray:
     return translate_flags(lo, length, (0, anchor), primes, k)
 
 
+# Longest window dense_q_step sieves for its density grid or its new slice.
+DENSE_WINDOW_BUDGET = 1_000_000
+
+
 def dense_q_step(
-    state: DenseQState,
-    epsilon: float,
-    x: int,
-    seed: int | None = None,
-    slice_budget: int = 1_000_000,
-    grid_budget: int = 1_000_000,
+    state: DenseQState, epsilon: float, x: int, seed: int | None = None
 ) -> DenseQState:
     """Append the next anchor n' to the state: a multiple of
     W = prod_{p <= n^2} p^k in [x/2, x] with n' + a k-free for every k-free
@@ -315,11 +311,12 @@ def dense_q_step(
 
     The exact-preservation condition is verified for every k-free a <= n; the
     density of {a k-free <= R : n' + a k-free} is additionally measured on the
-    geometric grid R, (1+epsilon)R, ... up to min(n', grid_budget) and
-    reported, not asserted.  The new slice of the accumulated set is
-    materialized only when it fits the slice budget.  The candidate count is
-    checked against the byte cap (ResourceError) before the candidates are
-    struck, and a seeded order's four bytes per candidate before it is built.
+    geometric grid R, (1+epsilon)R, ... up to min(n', DENSE_WINDOW_BUDGET)
+    and reported, not asserted.  The new slice of the accumulated set is
+    materialized only when it is at most DENSE_WINDOW_BUDGET long.  The
+    candidate count is checked against the byte cap (ResourceError) before the
+    candidates are struck, and a seeded order's four bytes per candidate
+    before it is built.
     """
     if not state.anchors:
         raise ValueError("state has no initial anchor; use DenseQState.start")
@@ -364,7 +361,7 @@ def dense_q_step(
     anchor = first + i * modulus
 
     # density report on a geometric grid, capped by the inspection budget
-    r_cap = min(anchor, grid_budget)
+    r_cap = min(anchor, DENSE_WINDOW_BUDGET)
     grid_points = []
     r = n
     while r <= r_cap:
@@ -382,7 +379,7 @@ def dense_q_step(
             grid.append((r, good / r))
             prev = r
 
-    materialized = anchor - n <= slice_budget
+    materialized = anchor - n <= DENSE_WINDOW_BUDGET
     if materialized:
         both = _both_kfree(n + 1, anchor - n, anchor, k)
         piece = tuple(compress(range(n + 1, anchor + 1), both))
@@ -551,6 +548,9 @@ def overp_base_point(
 # Largest primorial power, in bits, that overp_sequence will build.
 PRIMORIAL_BIT_BUDGET = 1 << 20
 
+# Largest prime overp_sequence checks, for its base points and induced set.
+OVERP_VERIFY_PRIME_CAP = 100_000
+
 
 @dataclass(frozen=True)
 class OverPSequence:
@@ -566,8 +566,6 @@ def overp_sequence(
     depth: int,
     k: int = 2,
     induced_cap: int = 200,
-    max_candidates: int = 100_000,
-    verify_prime_cap: int = 100_000,
 ) -> OverPSequence:
     """Anchors n_1 < ... < n_depth at thresholds P_j = ceil(scale * e^(e^j)),
     each a base point per :func:`overp_base_point`, plus the induced set of
@@ -600,8 +598,8 @@ def overp_sequence(
         anchor = overp_base_point(
             t,
             k,
-            max_candidates=max_candidates,
-            verify_prime_cap=verify_prime_cap,
+            max_candidates=100_000,
+            verify_prime_cap=OVERP_VERIFY_PRIME_CAP,
             min_value=previous,
         )
         anchors.append(anchor)
@@ -609,7 +607,7 @@ def overp_sequence(
 
     window = kfree_window(1, induced_cap, k)
     needed = integer_kth_root(anchors[-1] + induced_cap, k) if anchors else 0
-    certification = Certification.checked_to(needed, verify_prime_cap)
+    certification = Certification.checked_to(needed, OVERP_VERIFY_PRIME_CAP)
     primes = primes_upto(certification.prime_cutoff)
     good = translate_flags(1, induced_cap, anchors, primes, k)
     induced = tuple(

@@ -94,8 +94,11 @@ def _h_factor(p: int, profile: OmegaProfile) -> Fraction:
     return Fraction(omega, p**profile.k - omega)
 
 
-def _require_weight_bytes(q_max: int) -> None:
+def _require_weight_bytes(q_max: int, k: int) -> None:
+    """Refuse, past the byte cap, the h weights up to Q and Q^(2k), which
+    takes about 2k * ceil(log2 Q) / 8 bytes and outgrows every p^k, p <= Q."""
     _require_bytes(q_max * _WEIGHT_BYTES, f"h weights up to {q_max}")
+    _require_bytes(2 * k * (q_max - 1).bit_length() // 8, f"Q^(2k) for Q = {q_max}, k = {k}")
 
 
 def h_weights_upto(q_max: int, profile: OmegaProfile) -> list[Fraction]:
@@ -105,11 +108,12 @@ def h_weights_upto(q_max: int, profile: OmegaProfile) -> list[Fraction]:
     Each prime p, in ascending order, multiplies the nonzero weights at its
     multiples by its factor and zeroes those at the multiples of p^2.  Each
     weight (a Fraction and its two ints) is charged 120 bytes, and a list
-    past the byte cap raises ResourceError before anything is allocated.
+    past the byte cap, or a Q^(2k) past it, raises ResourceError before
+    anything is allocated.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    _require_weight_bytes(q_max)
+    _require_weight_bytes(q_max, profile.k)
     weights = [Fraction(1)] * q_max  # weights[q - 1] = h(q)
     zero = Fraction(0)
     for p in primes_upto(q_max):
@@ -137,18 +141,21 @@ def sieve_bound(n_length: int, q_max: int, profile: OmegaProfile) -> Fraction:
     subset of a length-N window avoiding omega(p^k) classes mod p^k per prime."""
     if n_length < 1 or q_max < 1:
         raise ValueError("window length and Q must be >= 1")
-    return Fraction(n_length + q_max ** (2 * profile.k)) / h_sum(q_max, profile)
+    weight_sum = h_sum(q_max, profile)  # checks Q^(2k) against the byte cap
+    return Fraction(n_length + q_max ** (2 * profile.k)) / weight_sum
 
 
 def optimize_q(n_length: int, profile: OmegaProfile, q_range) -> tuple[int, Fraction]:
     """The Q in q_range minimizing sieve_bound, smallest Q on ties.
 
-    Each Q is checked against the weights' byte cap as it is read, so a
-    q_range reaching past the cap raises ResourceError before it is held.
+    Each Q is checked to be at least 1 and within the byte cap as it is read,
+    so a q_range reaching past the cap raises ResourceError before it is held.
     """
     distinct = set()
     for q in q_range:
-        _require_weight_bytes(q)
+        if n_length < 1 or q < 1:
+            raise ValueError("window length and Q must be >= 1")
+        _require_weight_bytes(q, profile.k)
         distinct.add(q)
     if not distinct:
         raise ValueError("q_range must be nonempty")

@@ -174,7 +174,10 @@ class CrosscheckReport:
         return not self.mismatches and bool(self.checked)
 
     def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.mismatches)} MISMATCH"
+        if self.mismatches:
+            status = f"{len(self.mismatches)} MISMATCH"
+        else:
+            status = "OK" if self.checked else "NOTHING CHECKED"
         return (
             f"{self.sequence_id} [{self.quantity}]: {len(self.checked)} checked, "
             f"{len(self.skipped)} outside domain, {status}"

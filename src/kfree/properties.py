@@ -357,12 +357,7 @@ def find_translate_witness(
 
 
 def check_q_prefix(
-    seq,
-    j: int,
-    strategy: str = "PLAIN_SCAN",
-    k: int = 2,
-    prime_cutoff: int | None = None,
-    theta: float = 0.1,
+    seq, j: int, strategy: str = "PLAIN_SCAN", k: int = 2
 ) -> WitnessReport | NoWitness:
     """Look for n with n + a_i k-free for all i < j, for a sequence prefix.
 
@@ -388,13 +383,13 @@ def check_q_prefix(
         raise NotAdmissibleError(cert.prime)
 
     if strategy == "PLAIN_SCAN":
-        return find_translate_witness(prefix, a_prev + 1, a_j - 1, k, prime_cutoff)
+        return find_translate_witness(prefix, a_prev + 1, a_j - 1, k)
     if strategy == "HALF_INTERVAL":
-        return find_translate_witness(prefix, (a_j + 1) // 2, a_j, k, prime_cutoff)
+        return find_translate_witness(prefix, (a_j + 1) // 2, a_j, k)
     if strategy == "CRT":
         from .constructions import suff_witness_search
 
-        return suff_witness_search(prefix, a_j, theta=theta, k=k, prime_cutoff=prime_cutoff)
+        return suff_witness_search(prefix, a_j, k=k)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

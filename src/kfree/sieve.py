@@ -30,7 +30,7 @@ from .errors import ResourceError
 
 # Block length of the Moebius sieve behind counting; it bounds that sieve's
 # memory no matter how large x gets.
-DEFAULT_SEGMENT = 1 << 16
+MOBIUS_SEGMENT = 1 << 16
 
 # Cap on the byte array backing a prime table or a k-free window (one byte per
 # integer), and on the number of terms of a counting sum.
@@ -227,13 +227,13 @@ def _mobius_block(lo: int, hi: int, primes) -> list[int]:
     return mu
 
 
-def count_power_free_upto(x: int, k: int = 2, segment: int = DEFAULT_SEGMENT) -> int:
+def count_power_free_upto(x: int, k: int = 2) -> int:
     """Exact count of k-free integers in [1, x].
 
     Sums mu(d) * floor(x / d^k) over d <= r = x^(1/k) (the k-th powers of the
     squarefree d include-exclude the multiples of p^k), in O(r log log r)
-    time.  mu is sieved in blocks of ``segment`` consecutive d, which bounds
-    memory to O(segment), from the primes up to sqrt(r) given by
+    time.  mu is sieved in blocks of ``MOBIUS_SEGMENT`` consecutive d, which
+    bounds memory to O(MOBIUS_SEGMENT), from the primes up to sqrt(r) given by
     :func:`primes_upto`.  A sum of more than ``PRIME_TABLE_BYTE_CAP`` terms
     raises ResourceError before any prime is requested.
     """
@@ -241,14 +241,12 @@ def count_power_free_upto(x: int, k: int = 2, segment: int = DEFAULT_SEGMENT) ->
         raise ValueError("x must be nonnegative")
     if k < 2:
         raise ValueError("k must be >= 2")
-    if segment < 1:
-        raise ValueError("segment must be >= 1")
     root = integer_kth_root(x, k)
     _require_bytes(root, f"Moebius sum over d <= {root}")
     primes = primes_upto(isqrt(root))
     total = 0
-    for lo in range(1, root + 1, segment):
-        hi = min(lo + segment, root + 1)
+    for lo in range(1, root + 1, MOBIUS_SEGMENT):
+        hi = min(lo + MOBIUS_SEGMENT, root + 1)
         mu = _mobius_block(lo, hi, primes)
         total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
     return total

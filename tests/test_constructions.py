@@ -64,8 +64,9 @@ class TestSlowDensitySequence:
         assert seq.terms[0] == 1
         assert all((t + 1) % 4 == 0 for t in seq.terms[1:])
 
-    def test_explosive_growth_stacks_many_congruences(self):
-        seq = property_p_sequence(lambda j: 16**j, 12, scan_horizon=12)
+    def test_explosive_growth_stacks_many_congruences(self, monkeypatch):
+        monkeypatch.setattr("kfree.constructions.THRESHOLD_HORIZON", 12)
+        seq = property_p_sequence(lambda j: 16**j, 12)
         # thresholds climb one prime per index once f dwarfs every primorial power
         assert len(seq.active_from) >= 4
         for r, start in seq.active_from.items():
@@ -149,14 +150,6 @@ class TestSuffWitnessSearch:
         report = suff_witness_search([3, 5], 1000, theta=0.1, interval="FORWARD")
         assert 1000 < report.witness <= 1000 + int(1000 ** (10 / 11)) + 1
 
-    def test_forward_exponent_is_configurable(self):
-        narrow = suff_witness_search(
-            [3, 5], 1000, theta=0.1, interval="FORWARD", forward_exponent=(1, 2)
-        )
-        assert 1000 < narrow.witness <= 1031  # 1000 + floor(sqrt(1000))
-        with pytest.raises(ValueError):
-            suff_witness_search([3], 10, interval="FORWARD", forward_exponent=(3, 2))
-
     def test_non_admissible_raises(self):
         with pytest.raises(NotAdmissibleError):
             suff_witness_search([1, 2, 3, 4], 8103, theta=0.24)
@@ -224,9 +217,10 @@ class TestDenseAnchors:
         with pytest.raises(ValueError):
             dense_q_step(DenseQState.start(4), 0.5, 10**6)
 
-    def test_large_interval_succeeds(self):
+    def test_large_interval_succeeds(self, monkeypatch):
+        monkeypatch.setattr("kfree.constructions.DENSE_WINDOW_BUDGET", 10**5)
         state = DenseQState.start(4)
-        dense_q_step(state, 0.5, 10**10, grid_budget=10**5, slice_budget=10**5)
+        dense_q_step(state, 0.5, 10**10)
         anchor = state.anchors[-1]
         assert anchor % (30030**2) == 0
         assert 5 * 10**9 <= anchor <= 10**10
@@ -243,7 +237,7 @@ class TestDenseAnchors:
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive_or_nan_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
-            dense_q_step(DenseQState.start(2), epsilon, 10**4, grid_budget=1)
+            dense_q_step(DenseQState.start(2), epsilon, 10**4)
 
     def test_accumulated_set_concatenates_slices(self):
         state = DenseQState.start(2)
@@ -254,7 +248,8 @@ class TestDenseAnchors:
 
 
 class TestDenseStepAgainstTrialDivision:
-    def test_seeded_random_steps(self):
+    def test_seeded_random_steps(self, monkeypatch):
+        monkeypatch.setattr("kfree.constructions.DENSE_WINDOW_BUDGET", 100)
         # 143 anchors of 2 put the spacing floor at 288: for x = 360 only the
         # multiples 288, 324 and 360 of 36 remain, and 289, 325 and 361 are
         # not squarefree; for x = 280 no multiple clears the floor
@@ -274,7 +269,7 @@ class TestDenseStepAgainstTrialDivision:
                 with pytest.raises(BudgetError, match=f"none of the {position} "):
                     dense_q_step(state, 0.5, x, seed=seed)
             else:
-                dense_q_step(state, 0.5, x, seed=seed, grid_budget=100, slice_budget=100)
+                dense_q_step(state, 0.5, x, seed=seed)
                 report = state.reports[-1]
                 assert (report.anchor, report.candidates_examined) == (expected, position), (anchors, k, x, seed)
 
@@ -286,12 +281,12 @@ class TestDenseStepAgainstTrialDivision:
 
     def test_seeded_order_checked_at_four_bytes_a_candidate(self, monkeypatch):
         # the 139 candidates pass a 300-byte cap, their seeded order (556
-        # bytes) does not; small budgets keep the density strikes under it
+        # bytes) does not; a small window budget keeps the density strikes under it
         monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 300)
-        budgets = {"grid_budget": 100, "slice_budget": 100}
+        monkeypatch.setattr("kfree.constructions.DENSE_WINDOW_BUDGET", 100)
         with pytest.raises(ResourceError, match="seeded order of 139 candidates"):
-            dense_q_step(DenseQState.start(2), 0.5, 10**4, seed=1, **budgets)
-        state = dense_q_step(DenseQState.start(2), 0.5, 10**4, **budgets)
+            dense_q_step(DenseQState.start(2), 0.5, 10**4, seed=1)
+        state = dense_q_step(DenseQState.start(2), 0.5, 10**4)
         assert state.anchors == [2, 5004]
 
 

@@ -124,6 +124,23 @@ class TestSieveBound:
         assert optimize_q(100, CONSTANT_ONE, range(1, 5)) == (2, Fraction(87))
         assert optimize_q(1, CONSTANT_ONE, range(1, 3)) == (1, Fraction(2))
 
+    @pytest.mark.parametrize(
+        "n_length, q_range", [(100, range(0, 5)), (100, [-3, 2]), (-5, range(1, 4)), (0, [1])]
+    )
+    def test_optimize_rejects_lengths_and_q_below_one(self, n_length, q_range):
+        with pytest.raises(ValueError, match="window length and Q must be >= 1"):
+            optimize_q(n_length, CONSTANT_ONE, q_range)
+
+    def test_power_over_byte_cap_raises_before_it_is_built(self):
+        # Q^(2k) for Q = 10, k = 10^9 would take about 830 MB
+        huge = OmegaProfile.constant_one(10**9)
+        with pytest.raises(ResourceError, match=r"Q\^\(2k\) for Q = 10, k = 1000000000 "):
+            sieve_bound(10, 10, huge)
+        with pytest.raises(ResourceError, match=r"Q\^\(2k\) for Q = 2, k = 1000000000 "):
+            optimize_q(10, huge, range(1, 11))
+        # 1^(2k) costs nothing and no prime is at most 1
+        assert sieve_bound(10, 1, huge) == optimize_q(10, huge, [1])[1] == 11
+
     def test_optimize_ties_to_smallest(self):
         profile = CONSTANT_ONE
         q_star, bound = optimize_q(100, profile, [2, 2, 2])

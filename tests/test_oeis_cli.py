@@ -188,6 +188,11 @@ class TestCli:
         code, text = run_cli(["crosscheck", "--id", "A013928", "--bfile", str(bad)])
         assert code == 1 and "MISMATCH" in text
 
+    def test_empty_crosscheck_range_checks_nothing(self):
+        code, text = run_cli(["crosscheck", "--id", "A005117", "--range", "5:1"])
+        assert code == 1
+        assert text == "A005117 [SF_NTH]: 0 checked, 0 outside domain, NOTHING CHECKED\n"
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])
@@ -273,6 +278,10 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["construct", "dense-q", "--x", "10000", "--epsilon", "nan"],
         ["sieve-bound", "--n", "1000", "--q", "4", "--profile", "es-sumfree", "--k", "3"],
         ["sieve-bound", "--n", "1000", "--q", "1", "--k", "0"],
+        ["sieve-bound", "--n", "10", "--q", "2", "--k", "600"],
+        ["sieve-bound", "--n", "10", "--q", "10", "--k", "1000000000"],
+        ["sieve-bound", "--n", "10", "--optimize", "--qmax", "10", "--k", "1000000000"],
+        ["sieve-bound", "--n", "-5", "--optimize", "--qmax", "3"],
     ],
 )
 def test_bad_input_exits_1_without_traceback(argv, capsys):

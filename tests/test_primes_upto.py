@@ -126,8 +126,6 @@ def test_count_validates_before_asking_for_primes(monkeypatch):
             count_power_free_upto(x, k)
     with pytest.raises(ValueError, match="x must be"):
         count_power_free_upto(-5)
-    with pytest.raises(ValueError, match="segment"):
-        count_power_free_upto(100, segment=0)
     with pytest.raises(ResourceError):
         count_power_free_upto(10**30)
 

@@ -123,9 +123,10 @@ def test_count_power_free_delta_is_indicator():
             assert delta == int(smallest_power_divisor(x, k) is None)
 
 
-def test_count_segmentation_is_invisible():
+def test_count_segmentation_is_invisible(monkeypatch):
     for seg in (7, 64, 1 << 16):
-        assert count_power_free_upto(5000, 2, segment=seg) == count_kfree_oracle(5000)
+        monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", seg)
+        assert count_power_free_upto(5000, 2) == count_kfree_oracle(5000)
 
 
 def test_density_main_term():
@@ -225,14 +226,15 @@ def test_count_cubefree_powers_of_ten():
     assert [count_power_free_upto(10**n, 3) for n in range(9)] == CUBEFREE_POWERS_OF_TEN
 
 
-def test_count_matches_window_sieve_random():
+def test_count_matches_window_sieve_random(monkeypatch):
     rng = random.Random(20261018)
     for _ in range(40):
         x = rng.randrange(0, 3 * 10**5 + 1)
         k = rng.choice((2, 3, 4))
         expected = sum(kfree_window(1, x, k).flags)
         for segment in (1, 7, rng.randrange(2, 2000)):
-            assert count_power_free_upto(x, k, segment=segment) == expected, (x, k, segment)
+            monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", segment)
+            assert count_power_free_upto(x, k) == expected, (x, k, segment)
 
 
 def test_count_validates_before_any_work(monkeypatch):
@@ -245,8 +247,6 @@ def test_count_validates_before_any_work(monkeypatch):
             count_power_free_upto(x, k)
     with pytest.raises(ValueError, match="x must be"):
         count_power_free_upto(-5)
-    with pytest.raises(ValueError, match="segment"):
-        count_power_free_upto(100, segment=0)
     with pytest.raises(ResourceError):
         count_power_free_upto(10**30)
 

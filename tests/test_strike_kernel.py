@@ -104,8 +104,9 @@ class TestOverPCutoff:
     # the anchor is 0 mod p^2 for every p <= 46, so only larger checked
     # primes can strike; with caps 100 and 1000 one of them does
     @pytest.mark.parametrize("cap", [1, 2, 47, 100, 1000])
-    def test_strikes_exactly_the_primes_up_to_the_cutoff(self, cap):
-        result = overp_sequence(3, 1, induced_cap=1000, verify_prime_cap=cap)
+    def test_strikes_exactly_the_primes_up_to_the_cutoff(self, monkeypatch, cap):
+        monkeypatch.setattr("kfree.constructions.OVERP_VERIFY_PRIME_CAP", cap)
+        result = overp_sequence(3, 1, induced_cap=1000)
         assert result.certification == Certification(PI_CERTIFIED, cap)
         primes = trial_division_primes(cap)
         expected = tuple(
