@@ -6,6 +6,7 @@ from .admissible import (
     AdmissibleMaxResult,
     admissible_max_exact,
     admissible_max_lower_shift,
+    admissible_max_sweep,
     admissible_max_upper_sieve,
 )
 from .constructions import (

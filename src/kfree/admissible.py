@@ -6,16 +6,25 @@ Only primes with p^k <= x constrain the maximum: any class mod a larger p^k
 has a representative-free choice inside [1, x] (residue 0, say, once
 p^k > x).  The search is one branch-and-bound over the choice of removed class
 per prime, on bitmask survivor sets, branching on the primes in ascending
-order and on each prime's residues in ascending order.  Nothing is pruned
-before the first leaf, the shift-0 pattern {p: 0}, and a leaf is kept only
-when it strictly beats the incumbent, so the first leaf reaching the
-optimum, the lexicographically smallest maximizing witness (ascending primes,
-then ascending residue), is the one returned.  The reflection a -> x + 1 - a
+order and on each prime's residues in ascending order.  With no floor,
+nothing is pruned before the first leaf, the shift-0 pattern {p: 0}; a leaf
+is kept only when it strictly beats the incumbent, so the first leaf
+reaching the optimum, the lexicographically smallest maximizing witness
+(ascending primes, then ascending residue), is the one returned.  The reflection a -> x + 1 - a
 maps optima to optima, so at the root only classes c with
 c <= (x + 1 - c) mod p^k are tried.
 
 The search prunes on one lower bound for the survivors the remaining primes
 must still remove (``_forced_loss``): the largest per-prime least class hit.
+Its class scans stop early once a prime cannot raise the running maximum,
+and a child's least hit for the next prime comes from its parent's class
+hits less the survivors the child struck.  Neither changes the bound's
+value, so neither changes the search.
+
+``admissible_max_sweep`` runs the same search for x = 1, 2, ... in turn,
+seeding each with A(x - 1) <= A(x) <= A(x - 1) + 1: a floor below the
+optimum and a cap at or above it change neither value nor witness, only
+the time.
 """
 
 import time
@@ -72,6 +81,10 @@ def check_time_budget(time_budget: float | None) -> None:
         raise ValueError(f"time budget must be a nonnegative number of seconds, got {time_budget}")
 
 
+def _deadline(time_budget: float | None) -> float | None:
+    return None if time_budget is None else time.monotonic() + time_budget
+
+
 def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -> AdmissibleMaxResult:
     """Exact window maximum by branch-and-bound over removed classes.
 
@@ -84,54 +97,144 @@ def admissible_max_exact(x: int, k: int = 2, time_budget: float | None = None) -
     the byte cap (ResourceError) before any is built.
     """
     check_time_budget(time_budget)
+    return _search(x, k, _deadline(time_budget), -1, None)
+
+
+def admissible_max_sweep(
+    x_max: int, k: int = 2, time_budget: float | None = None
+) -> list[AdmissibleMaxResult]:
+    """``admissible_max_exact(x, k, time_budget)`` for x = 1, ..., x_max (none
+    when x_max < 1), each search seeded by the one before.
+
+    Adding x to the window removes at most x itself from a pattern, so
+    A(x - 1) <= A(x) <= A(x - 1) + 1.  After an EXACT A(x - 1) the search for
+    x stops at the first leaf worth A(x - 1) + 1, and with no budget it keeps
+    only leaves above the floor A(x - 1) - 1.  Under a budget the floor stays
+    at -1, so the shift-0 leaf is kept and the budget is checked from there
+    on, as in ``admissible_max_exact``.
+    """
+    check_time_budget(time_budget)
+    results = []
+    for x in range(1, x_max + 1):
+        floor_value, cap = -1, None
+        if results and results[-1].is_exact:
+            cap = results[-1].value + 1
+            if time_budget is None:
+                floor_value = results[-1].value - 1
+        results.append(_search(x, k, _deadline(time_budget), floor_value, cap))
+    return results
+
+
+def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int | None) -> AdmissibleMaxResult:
+    """The one branch-and-bound: keep a leaf only when it beats
+    ``floor_value`` and every leaf kept before it, and stop at the first leaf
+    worth ``cap``.
+
+    Leaves are visited in lexicographic order of their witnesses.  So with a
+    floor below the optimum, every leaf before the first optimal one is worth
+    less than the optimum, no bound can prune the path to that leaf, and it
+    is the leaf kept, as with the floor at -1.  A cap is an upper bound on
+    the optimum: a leaf worth it is optimal and, being the first kept at that
+    value, is that same leaf, so stopping there leaves value, witness and
+    EXACT status unchanged.  The deadline is checked only once a leaf is kept.
+    """
     if x < 1:
         raise ValueError("x must be >= 1")
     primes = _constraining_primes(x, k)
     _require_bytes(-(-x // 8) * sum(p**k for p in primes), f"class masks for x = {x}")
     masks = _class_masks(x, k, primes)
 
-    best_value = -1
+    best_value = floor_value
     best_leaf = None
-    deadline = None if time_budget is None else time.monotonic() + time_budget
     exhausted = True
+    stopped = False
+    last = len(primes) - 1
 
     def descend(idx: int, survivors: int, chosen: dict[int, int]) -> None:
-        nonlocal best_value, best_leaf, exhausted
+        nonlocal best_value, best_leaf, exhausted, stopped
         if best_leaf is not None and deadline is not None and time.monotonic() > deadline:
             exhausted = False
+            stopped = True
             return
         alive = survivors.bit_count()
-        if idx == len(primes):
+        if idx > last:
             if alive > best_value:
                 best_value = alive
                 best_leaf = dict(chosen)
-            return
-        # the forced loss never exceeds alive, so before the first leaf the
-        # bound could prune nothing and is not computed
-        if best_leaf is not None and alive - _forced_loss(survivors, primes[idx:], masks) <= best_value:
+                stopped = alive == cap
             return
         p = primes[idx]
         q = p**k
+        hits = None  # the next prime's class hits, shared by every child
         for c in range(q):
             # the reflection of a witness using c at the root uses
             # (x + 1 - c) mod q there, so the smallest optimum never has c above it
             if idx == 0 and c > (x + 1 - c) % q:
                 continue
+            struck = survivors & masks[p][c]
+            child = survivors ^ struck
+            # the children of the last prime are leaves; and the forced loss
+            # never exceeds alive, so with no leaf and no floor the bound
+            # could prune nothing and is not computed
+            if best_value >= 0 and idx < last:
+                if hits is None:
+                    hits = [(survivors & mask).bit_count() for mask in masks[primes[idx + 1]]]
+                    least = min(hits)
+                loss = _forced_loss(child, primes[idx + 2 :], masks, _least_hit_after(hits, least, struck))
+                if alive - struck.bit_count() - loss <= best_value:
+                    continue
             chosen[p] = c
-            descend(idx + 1, survivors & ~masks[p][c], chosen)
-            if not exhausted:
+            descend(idx + 1, child, chosen)
+            if stopped:
                 break
-        del chosen[p]
+        chosen.pop(p, None)
 
     descend(0, (1 << x) - 1, {})
     return AdmissibleMaxResult(x, k, best_value, best_leaf, EXACT if exhausted else LOWER_BOUND)
 
 
-def _forced_loss(survivors: int, rest, masks) -> int:
+def _least_hit_after(hits: list[int], least: int, struck: int) -> int:
+    """The least class hit of one prime once the survivors in ``struck`` are
+    gone, given its class hits ``hits`` before (least ``least``).
+
+    A class keeps its hit unless a struck survivor lies in it, and each
+    struck survivor lowers one class by one, so only the classes of the
+    struck bits need a look; a least hit of 0 stays 0."""
+    if not least:
+        return 0
+    width = len(hits)
+    touched = {}
+    while struck:
+        low = struck & -struck
+        j = low.bit_length() % width  # bit a - 1 holds a
+        touched[j] = touched.get(j, hits[j]) - 1
+        struck ^= low
+    return min([least, *touched.values()])
+
+
+def _forced_loss(survivors: int, rest, masks, best: int = 0) -> int:
     """Lower bound on the survivors that any choice of one class per prime in
-    the non-empty ``rest`` removes: the largest least class hit, since the
-    removed set contains the class chosen for each prime."""
-    return max(min((survivors & mask).bit_count() for mask in masks[p]) for p in rest)
+    ``rest`` removes: the largest least class hit, since the removed set
+    contains the class chosen for each prime.  ``best`` is a least hit
+    already known for a prime outside ``rest``, and the value returned is
+    the larger of the two.
+
+    The running maximum ``best`` cuts each prime's class scan short: once a
+    class hits no more than ``best``, that prime's least hit is at most
+    ``best`` and cannot raise the maximum.  A prime whose scan runs to the
+    end sets ``best`` to its exact least hit, so the value is that of the
+    full max-of-min, only cheaper to reach."""
+    for p in rest:
+        least = survivors.bit_count()
+        for mask in masks[p]:
+            hit = (survivors & mask).bit_count()
+            if hit <= best:
+                break
+            if hit < least:
+                least = hit
+        else:
+            best = least
+    return best
 
 
 def recompute_witness_value(result: AdmissibleMaxResult) -> int:
@@ -156,7 +259,9 @@ def admissible_max_lower_shift(
     Always a lower bound for the exact maximum, since each shifted pattern
     avoids the class -y mod p^k for every constraining prime.  ``shifts``
     enumerates explicit y; ``random_draws`` adds seeded draws of y modulo the
-    full primorial power, combined by CRT.  Ties break to the smallest shift.
+    full primorial power, combined by CRT.  Ties go to the first candidate
+    tried: the explicit shifts in the order given, then the draws, so
+    ``shifts=[5, 0]`` at x = 10 returns (7, 5).
     """
     if x < 1:
         raise ValueError("x must be >= 1")

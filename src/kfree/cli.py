@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .admissible import (
     admissible_max_exact,
     admissible_max_lower_shift,
+    admissible_max_sweep,
     admissible_max_upper_sieve,
-    check_time_budget,
 )
 from .constructions import (
     DenseQState,
@@ -62,11 +62,10 @@ def figure_shift_data(x_max: int, k: int = 2, time_budget: float | None = None) 
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
     rows = []
-    for x in range(1, x_max + 1):
-        result = admissible_max_exact(x, k, time_budget)
-        main = density_main_term(x, k)
+    for result in admissible_max_sweep(x_max, k, time_budget):
+        main = density_main_term(result.x, k)
         rows.append(
-            FigureRow(x, result.value - main, count_power_free_upto(x, k) - main, result.status)
+            FigureRow(result.x, result.value - main, count_power_free_upto(result.x, k) - main, result.status)
         )
     return rows
 
@@ -105,15 +104,16 @@ def _cmd_sieve_count(args, out) -> int:
 
 
 def _cmd_admissible_max(args, out) -> int:
-    check_time_budget(args.budget)  # also when --table --x 0 runs no search
     rows = []
-    xs = range(1, args.x + 1) if args.table else [args.x]
-    for x in xs:
-        result = admissible_max_exact(x, args.k, args.budget)
+    if args.table:
+        results = admissible_max_sweep(args.x, args.k, args.budget)
+    else:
+        results = [admissible_max_exact(args.x, args.k, args.budget)]
+    for result in results:
         brackets = None
         if args.bounds:
-            lower, _ = admissible_max_lower_shift(x, args.k, shifts=range(2000))
-            brackets = (lower, admissible_max_upper_sieve(x, args.k))
+            lower, _ = admissible_max_lower_shift(result.x, args.k, shifts=range(2000))
+            brackets = (lower, admissible_max_upper_sieve(result.x, args.k))
         rows.append((result, brackets))
     if args.format == "json":
         payload = []

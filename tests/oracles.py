@@ -140,6 +140,13 @@ def admissible_max_bnb(x, k=2):
     return best[0], best[1]
 
 
+def forced_loss_flat(survivors, rest, masks):
+    """The largest least class hit over the primes in ``rest``: for each
+    prime the fewest bits of ``survivors`` any of its class masks in
+    ``masks[p]`` covers, maximized with no early exit."""
+    return max(min((survivors & mask).bit_count() for mask in masks[p]) for p in rest)
+
+
 def dense_anchor_flat(anchors, k, x, seed=None):
     """The next anchor ``dense_q_step`` must choose, and its 1-based position
     among the candidates: the first multiple m of prod_{p <= n^2} p^k in

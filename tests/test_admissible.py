@@ -7,8 +7,10 @@ from kfree.admissible import (
     _class_masks,
     _constraining_primes,
     _forced_loss,
+    _least_hit_after,
     admissible_max_exact,
     admissible_max_lower_shift,
+    admissible_max_sweep,
     admissible_max_upper_sieve,
     recompute_witness_value,
 )
@@ -18,6 +20,7 @@ from kfree.sieve import count_power_free_upto
 from oracles import (
     admissible_max_bnb,
     admissible_max_flat,
+    forced_loss_flat,
     lex_smallest_optimal_flat,
     min_removed_flat,
 )
@@ -131,6 +134,35 @@ class TestIndependentSearch:
             assert (result.value, result.witness) == admissible_max_bnb(x, k), (x, k)
 
 
+class TestSweep:
+    # the sweep seeds each search with A(x - 1) - 1 and stops at A(x - 1) + 1,
+    # which must leave value, witness and status as the unseeded search has them
+    @pytest.mark.parametrize("k, x_max", [(2, 400), (3, 200)])
+    def test_matches_unseeded_searches(self, k, x_max):
+        swept = admissible_max_sweep(x_max, k)
+        assert [result.x for result in swept] == list(range(1, x_max + 1))
+        for result in swept:
+            assert repr(result) == repr(admissible_max_exact(result.x, k)), (result.x, k)
+
+    def test_empty_below_one(self):
+        assert admissible_max_sweep(0) == []
+
+    def test_zero_budget_figure_rows_reproduce_their_values(self, monkeypatch):
+        from kfree import cli
+
+        swept = []
+        real = cli.admissible_max_sweep
+        monkeypatch.setattr(cli, "admissible_max_sweep", lambda *args: swept.extend(real(*args)) or swept)
+        rows = cli.figure_shift_data(25, time_budget=0.0)
+        assert [row.x for row in rows] == [result.x for result in swept] == list(range(1, 26))
+        for row, result in zip(rows, swept):
+            assert recompute_witness_value(result) == result.value, row.x
+            assert set(result.witness) == set(_constraining_primes(row.x, 2)), row.x
+            assert row.a_minus_main == result.value - sieve.density_main_term(row.x, 2), row.x
+            assert row.status == result.status, row.x
+            assert count_power_free_upto(row.x) <= result.value <= admissible_max_exact(row.x).value, row.x
+
+
 class TestZeroBudget:
     @pytest.mark.parametrize("k", [2, 3])
     def test_stops_after_a_valid_leaf(self, k):
@@ -177,10 +209,50 @@ class TestForcedLoss:
             assert bound <= min_removed_flat(k, alive, order[idx:]), (x, order[idx:], alive)
             checked += 1
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_early_exit_keeps_the_flat_value(self, k):
+        # the early exit may only skip classes that cannot change the value,
+        # so the bound must equal the full max-of-min, not just stay below it
+        rng = random.Random(100 + k)
+        for trial in range(400):
+            x = rng.randrange(2**k, 301)
+            primes = _constraining_primes(x, k)
+            masks = _class_masks(x, k, primes)
+            idx = rng.randrange(len(primes))
+            rest = primes[idx:] if trial % 2 else rng.sample(primes[idx:], len(primes) - idx)
+            density = (0.0, 1.0, rng.random())[trial % 3]
+            survivors = sum(1 << (a - 1) for a in range(1, x + 1) if rng.random() < density)
+            flat = forced_loss_flat(survivors, rest, masks)
+            assert _forced_loss(survivors, rest, masks) == flat, (x, rest)
+            known = rng.randrange(x + 1)
+            assert _forced_loss(survivors, rest, masks, known) == max(known, flat), (x, rest, known)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_least_hit_after_a_strike_matches_a_recount(self, k):
+        rng = random.Random(200 + k)
+        for trial in range(400):
+            x = rng.randrange(2**k, 301)
+            primes = _constraining_primes(x, k)
+            masks = _class_masks(x, k, primes)
+            per_class = masks[rng.choice(primes)]
+            density = (1.0, rng.random())[trial % 2]
+            survivors = sum(1 << (a - 1) for a in range(1, x + 1) if rng.random() < density)
+            # the survivors in a class of some constraining prime, as in the
+            # search, or any subset of them
+            struck = survivors & (rng.choice(masks[rng.choice(primes)]) if trial % 3 else rng.getrandbits(x))
+            hits = [(survivors & mask).bit_count() for mask in per_class]
+            recount = min((survivors & ~struck & mask).bit_count() for mask in per_class)
+            assert _least_hit_after(hits, min(hits), struck) == recount, (x, trial)
+
 
 class TestLowerShift:
     def test_zero_shift_is_plain_count(self):
         assert admissible_max_lower_shift(10, shifts=[0]) == (7, 0)
+
+    def test_ties_go_to_the_first_candidate(self):
+        # shifts 5 and 0 both keep 7 of [1, 10]; the first one listed wins
+        assert admissible_max_lower_shift(10, shifts=[5, 0]) == (7, 5)
+        assert admissible_max_lower_shift(10, shifts=[0, 5]) == (7, 0)
 
     def test_scan_finds_richer_window(self):
         count, shift = admissible_max_lower_shift(10, shifts=range(10**4 + 1))
