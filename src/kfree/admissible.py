@@ -22,9 +22,9 @@ hits less the survivors the child struck.  Neither changes the bound's
 value, so neither changes the search.
 
 ``admissible_max_sweep`` runs the same search for x = 1, 2, ... in turn,
-seeding each with A(x - 1) <= A(x) <= A(x - 1) + 1: a floor below the
-optimum and a cap at or above it change neither value nor witness, only
-the time.
+seeding each unbudgeted one with A(x - 1) <= A(x) <= A(x - 1) + 1: a floor
+below the optimum and a cap at or above it change neither value nor
+witness, only the time.
 """
 
 import time
@@ -104,24 +104,22 @@ def admissible_max_sweep(
     x_max: int, k: int = 2, time_budget: float | None = None
 ) -> list[AdmissibleMaxResult]:
     """``admissible_max_exact(x, k, time_budget)`` for x = 1, ..., x_max (none
-    when x_max < 1), each search seeded by the one before.
+    when x_max < 1).
 
-    Adding x to the window removes at most x itself from a pattern, so
-    A(x - 1) <= A(x) <= A(x - 1) + 1.  After an EXACT A(x - 1) the search for
-    x stops at the first leaf worth A(x - 1) + 1, and with no budget it keeps
-    only leaves above the floor A(x - 1) - 1.  Under a budget the floor stays
-    at -1, so the shift-0 leaf is kept and the budget is checked from there
-    on, as in ``admissible_max_exact``.
+    With no budget each search is seeded by the one before.  Adding x to the
+    window removes at most x itself from a pattern, so
+    A(x - 1) <= A(x) <= A(x - 1) + 1: the search for x keeps only leaves above
+    the floor A(x - 1) - 1 and stops at the first leaf worth the cap
+    A(x - 1) + 1.  Under a budget every x gets its own unseeded search, so
+    each row, status included, is the one ``admissible_max_exact`` gives.
     """
     check_time_budget(time_budget)
+    if time_budget is not None:
+        return [admissible_max_exact(x, k, time_budget) for x in range(1, x_max + 1)]
     results = []
     for x in range(1, x_max + 1):
-        floor_value, cap = -1, None
-        if results and results[-1].is_exact:
-            cap = results[-1].value + 1
-            if time_budget is None:
-                floor_value = results[-1].value - 1
-        results.append(_search(x, k, _deadline(time_budget), floor_value, cap))
+        floor_value, cap = (results[-1].value - 1, results[-1].value + 1) if results else (-1, None)
+        results.append(_search(x, k, None, floor_value, cap))
     return results
 
 

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -135,8 +136,9 @@ class TestIndependentSearch:
 
 
 class TestSweep:
-    # the sweep seeds each search with A(x - 1) - 1 and stops at A(x - 1) + 1,
-    # which must leave value, witness and status as the unseeded search has them
+    # with no budget the sweep seeds each search with A(x - 1) - 1 and stops
+    # at A(x - 1) + 1, which must leave value, witness and status as the
+    # unseeded search has them
     @pytest.mark.parametrize("k, x_max", [(2, 400), (3, 200)])
     def test_matches_unseeded_searches(self, k, x_max):
         swept = admissible_max_sweep(x_max, k)
@@ -146,6 +148,17 @@ class TestSweep:
 
     def test_empty_below_one(self):
         assert admissible_max_sweep(0) == []
+
+    def test_budgeted_rows_are_the_unseeded_searches(self, monkeypatch):
+        # a clock that ticks once a read makes the budget a node count, so a
+        # budgeted sweep can be compared row by row with single searches;
+        # a cap seeded from an EXACT A(x - 1) would make x = 9..11 EXACT here,
+        # where a single search reports LOWER_BOUND
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(admissible, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        swept = admissible_max_sweep(40, 2, 5.0)
+        assert swept == [admissible_max_exact(x, 2, 5.0) for x in range(1, 41)]
+        assert swept[7].is_exact and swept[8].status == "LOWER_BOUND"
 
     def test_zero_budget_figure_rows_reproduce_their_values(self, monkeypatch):
         from kfree import cli

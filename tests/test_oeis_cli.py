@@ -22,6 +22,7 @@ from kfree.oeis import (
 from kfree.sieve import kfree_window
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "figure_shift_30.csv")
+TABLE_1000 = os.path.join(os.path.dirname(__file__), "..", "tools", "admissible_max_1000.csv")
 
 ALL_IDS = ["A013928", "A083544", "A000051", "A000225", "A038507", "A033312"]
 
@@ -122,6 +123,16 @@ class TestFigureData:
             golden = handle.read()
         produced = render_figure_csv(figure_shift_data(30)).encode("ascii")
         assert produced == golden
+
+    def test_committed_table_starts_with_the_cli_rows(self):
+        # tools/admissible_max_1000.csv is `admissible-max --table --x 1000
+        # --bounds`; its first rows must be what the CLI prints today
+        with open(TABLE_1000, encoding="ascii") as handle:
+            committed = handle.read().splitlines()
+        assert len(committed) == 1001
+        code, text = run_cli(["admissible-max", "--table", "--x", "60", "--bounds"])
+        assert code == 0
+        assert text.splitlines() == committed[:61]
 
     def test_budget_degrades_status_column(self):
         rows = figure_shift_data(25, time_budget=0.0)
