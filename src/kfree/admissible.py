@@ -21,6 +21,10 @@ and a child's least hit for the next prime comes from its parent's class
 hits less the survivors the child struck.  Neither changes the bound's
 value, so neither changes the search.
 
+The maximum is bracketed by ``admissible_max_lower_shift``, the best of many
+shifted windows, counted from one struck window per run of nearby shifts,
+and by ``admissible_max_upper_sieve``, the large sieve.
+
 ``admissible_max_sweep`` runs the same search for x = 1, 2, ... in turn,
 seeding each unbudgeted one with A(x - 1) <= A(x) <= A(x - 1) + 1: a floor
 below the optimum and a cap at or above it change neither value nor
@@ -28,10 +32,12 @@ witness, only the time.
 """
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import floor
 from random import Random
 
+from . import sieve
 from .large_sieve import OmegaProfile, optimize_q
 from .sieve import (
     _require_bytes,
@@ -260,6 +266,13 @@ def admissible_max_lower_shift(
     full primorial power, combined by CRT.  Ties go to the first candidate
     tried: the explicit shifts in the order given, then the draws, so
     ``shifts=[5, 0]`` at x = 10 returns (7, 5).
+
+    Nearby shifts share one strike.  The distinct candidates, sorted, are cut
+    into runs whose common window [start + 1, last + x] is at most 2x long
+    and within the byte cap, and each run's window is struck once, so a
+    scan over ``range(2000)`` strikes about 2000 / x windows, not 2000.  A
+    window of length x above the byte cap raises ResourceError before any
+    prime is requested.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -273,12 +286,21 @@ def admissible_max_lower_shift(
     if not candidates:
         raise ValueError("no shifts to try: give explicit shifts or random draws")
 
-    best_count, best_shift = -1, 0
-    for y in candidates:
-        count = translate_flags(y + 1, x, (0,), primes, k).count(1)
-        if count > best_count:
-            best_count, best_shift = count, y
-    return best_count, best_shift
+    # a run's window spans at most 2x bytes, so it costs at most twice the
+    # strikes of its first shift alone however sparse the run is
+    reach = min(x, sieve.PRIME_TABLE_BYTE_CAP - x)
+    ordered = sorted(set(candidates))
+    counts = {}
+    i = 0
+    while i < len(ordered):
+        start = ordered[i]
+        end = bisect_right(ordered, start + reach, i)
+        flags = translate_flags(start + 1, ordered[end - 1] - start + x, (0,), primes, k)
+        for y in ordered[i:end]:
+            counts[y] = flags[y - start : y - start + x].count(1)
+        i = end
+    best_shift = max(candidates, key=counts.__getitem__)  # the first of the largest
+    return counts[best_shift], best_shift
 
 
 def admissible_max_upper_sieve(x: int, k: int = 2) -> int:

@@ -23,7 +23,9 @@ from oracles import (
     admissible_max_flat,
     forced_loss_flat,
     lex_smallest_optimal_flat,
+    lower_shift_flat,
     min_removed_flat,
+    shift_draws_flat,
 )
 
 
@@ -286,10 +288,51 @@ class TestLowerShift:
         b = admissible_max_lower_shift(20, shifts=[], random_draws=32, seed=7)
         assert a == b
 
-    def test_never_exceeds_exact(self, exact_upto_30=None):
+    def test_never_exceeds_exact(self):
         for x in (6, 11, 17, 23, 29):
             count, _ = admissible_max_lower_shift(x, shifts=range(2000), random_draws=50, seed=1)
             assert count <= admissible_max_exact(x).value
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_trial_division(self, k):
+        # unsorted, duplicated and negative shifts (y = -1 puts 0 in the
+        # window), both tie orders and seeded draws, at every x; the strided
+        # and random sets, whose runs hold many shifts, at a spread of x
+        rng = random.Random(k)
+        mixed = [17, -4, 3, 17, 0, -130, 9, 3, 250, -1]
+        for x in range(1, 131):
+            for shifts in (mixed, [5, 0], [0, 5], [rng.randrange(-500, 5000) for _ in range(40)]):
+                assert admissible_max_lower_shift(x, k, shifts=shifts) == lower_shift_flat(x, k, shifts), (x, shifts)
+            draws = shift_draws_flat(x, k, 8, seed=x)
+            assert admissible_max_lower_shift(x, k, shifts=[], random_draws=8, seed=x) == lower_shift_flat(x, k, draws)
+            assert admissible_max_lower_shift(x, k, shifts=mixed, random_draws=8, seed=x) == lower_shift_flat(
+                x, k, mixed + draws
+            )
+        for x in (1, 6, 7, 8, 13, 14, 60, 61, 97, 120, 129, 130):
+            assert admissible_max_lower_shift(x, k, shifts=range(0, 4000, 7)) == lower_shift_flat(
+                x, k, range(0, 4000, 7)
+            ), x
+            shifts = [rng.randrange(-500, 5000) for _ in range(200)]
+            assert admissible_max_lower_shift(x, k, shifts=shifts) == lower_shift_flat(x, k, shifts), x
+
+    def test_runs_stay_within_the_byte_cap(self, monkeypatch):
+        monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 10**4)
+        lengths = []
+
+        def strike(lo, count, *args):
+            lengths.append(count)
+            return sieve.translate_flags(lo, count, *args)
+
+        monkeypatch.setattr(admissible, "translate_flags", strike)
+        assert admissible_max_lower_shift(10**4, shifts=range(3)) == lower_shift_flat(10**4, 2, range(3))
+        assert lengths and max(lengths) <= 10**4
+
+        def no_primes(n):
+            raise AssertionError("primes requested")
+
+        monkeypatch.setattr(admissible, "primes_upto", no_primes)
+        with pytest.raises(ResourceError, match="window of length"):
+            admissible_max_lower_shift(10**4 + 1, shifts=range(3))
 
     def test_window_byte_cap_is_checked_before_any_prime(self, monkeypatch):
         monkeypatch.setattr(sieve, "PRIME_TABLE_BYTE_CAP", 10**4)

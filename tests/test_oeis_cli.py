@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from kfree.admissible import admissible_max_lower_shift, admissible_max_upper_sieve
 from kfree.cli import figure_shift_data, main, render_figure_csv
 from kfree.constructions import DenseQState, dense_q_step
 from kfree.errors import BudgetError
@@ -133,6 +135,16 @@ class TestFigureData:
         code, text = run_cli(["admissible-max", "--table", "--x", "60", "--bounds"])
         assert code == 0
         assert text.splitlines() == committed[:61]
+
+    def test_committed_table_bounds_match_the_library(self):
+        # every row's bracket, not only the first 61 rows the CLI test runs
+        with open(TABLE_1000, encoding="ascii") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["x"]) for row in rows] == list(range(1, 1001))
+        for row in rows:
+            x = int(row["x"])
+            assert int(row["lower_shift"]) == admissible_max_lower_shift(x, shifts=range(2000))[0], x
+            assert int(row["upper_sieve"]) == admissible_max_upper_sieve(x), x
 
     def test_budget_degrades_status_column(self):
         rows = figure_shift_data(25, time_budget=0.0)

@@ -2,9 +2,9 @@
 """Regenerate the b-file fixture prefixes shipped in src/kfree/data/oeis/.
 
 The definitional sequences (squarefree lists/counts, 2^n +- 1, n! +- 1) are
-computed directly; the window-maximum prefix comes from the exact search,
-which the test suite independently pins against flat enumeration for small
-indices and against sandwich bounds everywhere.
+computed directly; the window-maximum prefix comes from the exact search's
+seeded sweep over x = 1..60, which the test suite independently pins against
+flat enumeration for small indices and against sandwich bounds everywhere.
 """
 
 import os
@@ -13,7 +13,7 @@ from math import factorial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from kfree.admissible import admissible_max_exact
+from kfree.admissible import admissible_max_sweep
 from kfree.sieve import count_power_free_upto, kfree_window
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "kfree", "data", "oeis")
@@ -32,7 +32,7 @@ def main():
     squarefree = kfree_window(1, 400).members()
     write("b005117.txt", [(i + 1, v) for i, v in enumerate(squarefree[:100])])
     write("b013928.txt", [(n, count_power_free_upto(n - 1)) for n in range(1, 201)])
-    write("b083544.txt", [(x, admissible_max_exact(x).value) for x in range(1, 61)])
+    write("b083544.txt", [(result.x, result.value) for result in admissible_max_sweep(60)])
     write("b000051.txt", [(n, 2**n + 1) for n in range(0, 31)])
     write("b000225.txt", [(n, 2**n - 1) for n in range(0, 31)])
     write("b038507.txt", [(n, factorial(n) + 1) for n in range(0, 26)])
