@@ -225,6 +225,21 @@ def translate_free_flags(lo, count, elements, primes, k, step=1):
     ]
 
 
+def kfree_window_flat(start, length, k=2):
+    """k-free flags of [start, start + length) as bytes: for every integer
+    d >= 2 with d^k at most the last entry, zero each multiple of d^k by a
+    plain range loop, one entry at a time."""
+    end = start + length - 1
+    flags = bytearray([1]) * length
+    d = 2
+    while d**k <= end:
+        q = d**k
+        for n in range(-(-start // q) * q, end + 1, q):
+            flags[n - start] = 0
+        d += 1
+    return bytes(flags)
+
+
 _MASK64 = (1 << 64) - 1
 
 
