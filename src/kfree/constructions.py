@@ -8,9 +8,11 @@ a deterministic increasing scan, with seeded-random candidate orders offered
 for experiments; identical inputs and seeds always reproduce identical output.
 """
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
-from math import ceil, exp, log
+from math import ceil, exp, log, prod
 
 from .errors import BudgetError, NotAdmissibleError
 from .properties import (
@@ -422,6 +424,31 @@ def _reject_bound(n0: int, c: float) -> int:
     return ceil(membership_probability(n0, c) * (1 + 2**-30) * 2**64) + 1
 
 
+# Window positions whose draws sample_counterexample computes on one packed
+# int: 16 bytes per k-free position, whatever x_max is.
+_LANE_CHUNK = 4096
+
+
+def _lane_draws(key: int, members: list[int]) -> tuple[int, ...]:
+    """The draw of each n in ``members``, all below 2**64, computed on one
+    int that holds each n in the low half of its own 128-bit slot."""
+    words = [0] * (2 * len(members))
+    words[::2] = members
+    layout = f"<{len(words)}Q"
+    slots = int.from_bytes((b"\x01" + bytes(15)) * len(members), "little")
+    mask = _MASK64 * slots
+    gamma = 0x9E3779B97F4A7C15 * slots
+    z = int.from_bytes(struct.pack(layout, *words), "little") ^ key * slots
+    z = (z + gamma) & mask
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    z = (((z ^ (z >> 31)) & mask) + gamma) & mask
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    z = (z ^ (z >> 31)) & mask
+    return struct.unpack(layout, z.to_bytes(8 * len(words), "little"))[::2]
+
+
 def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[int, ...]:
     """Random k-free subset of [3, x_max], each k-free n included independently
     with probability min(c * ln n * lnln n / n, 1).
@@ -430,6 +457,17 @@ def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[
     splitmix64 mix of (mix of seed) xor n, mixed once more, and is kept when
     z / 2**64 < membership_probability(n, c), so the sample is independent of
     evaluation order.
+
+    The draws are computed _LANE_CHUNK window positions at a time, on one int
+    that holds each k-free n of the chunk in the low 64 bits of its own
+    128-bit slot, the high 64 bits zero.  The seed xor, the adds, the
+    multiplies and the shifts of both mixes act on the whole int, and the
+    64-bit lane mask is applied before every add and every multiply.  So each
+    operand is below 2**64 in every slot: a sum stays below 2**65 and a
+    product by a 64-bit constant below 2**128, and nothing carries into the
+    next slot.  A right shift moves the next slot's low bits into this slot's
+    high half only, which the next mask clears.  Each slot therefore ends
+    holding exactly the per-n draw.
 
     The members are cut into doubling blocks [n0, 2*n0) from the first member
     n0 >= 10, and each block gets one integer bound B = _reject_bound(n0, c).
@@ -442,25 +480,20 @@ def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[
         raise ValueError("c must be positive")
     if x_max < 3:
         raise ValueError("x_max must be >= 3")
-    window = kfree_window(3, x_max - 2, k)
-    mask = _MASK64
-    key = _splitmix64(seed & mask)
+    flags = kfree_window(3, x_max - 2, k).flags
+    key = _splitmix64(seed & _MASK64)
     chosen = []
     bound, block_end = 1 << 64, 10
-    # n <= x_max is far below 2**64 (the window is byte-capped), so key ^ n
-    # needs no mask
-    for n in compress(range(3, x_max + 1), window.flags):
-        if n >= block_end:
-            bound, block_end = _reject_bound(n, c), 2 * n
-        z = ((key ^ n) + 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z = ((z ^ (z >> 31)) + 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        if z < bound and z / 2**64 < membership_probability(n, c):
-            chosen.append(n)
+    # n <= x_max is far below 2**64 (the window is byte-capped), so each n
+    # fits its lane and key ^ n needs no mask
+    for lo in range(3, x_max + 1, _LANE_CHUNK):
+        hi = min(lo + _LANE_CHUNK, x_max + 1)
+        members = list(compress(range(lo, hi), flags[lo - 3 : hi - 3]))
+        for n, z in zip(members, _lane_draws(key, members)):
+            if n >= block_end:
+                bound, block_end = _reject_bound(n, c), 2 * n
+            if z < bound and z / 2**64 < membership_probability(n, c):
+                chosen.append(n)
     return tuple(chosen)
 
 
@@ -487,6 +520,12 @@ def _loglog_range(p: int) -> int:
     return int(p / log(log(p)) ** 2)
 
 
+# Consecutive q^k whose product overp_base_point reduces a base point by at
+# once: at a 13706-bit base point, groups of 16-32 were fastest, and groups
+# of 2 or 128 about twice as slow.
+_RESIDUE_GROUP = 16
+
+
 def overp_base_point(
     p_threshold: int,
     k: int = 2,
@@ -498,10 +537,15 @@ def overp_base_point(
     q > P, q^k divides none of n+1, ..., n + floor(q / (lnln q)^2).
 
     Only finitely many q can interfere once n is fixed (q^k must not exceed
-    n plus the range), and each is checked by a single modular reduction.
-    ``verify_prime_cap`` limits the checked q for astronomically large n;
-    left as None, the full forced range is verified or a BudgetError raised
-    if that range is itself out of reach.
+    n plus the range), and each is checked through -n mod q^k.  The q are
+    taken in ascending order, in groups of _RESIDUE_GROUP consecutive primes:
+    n, which can run to thousands of bits, is reduced once modulo the
+    product of the group's q^k, and each -n mod q^k is taken from that small
+    remainder, which is congruent to n modulo every q^k of the group.  A q is
+    still checked only when every smaller q passed, and the scan still stops
+    at the first q^k > n + reach(q).  ``verify_prime_cap`` limits the checked
+    q for astronomically large n; left as None, the full forced range is
+    verified or a BudgetError raised if that range is itself out of reach.
     """
     if p_threshold < 3:
         raise ValueError("prime threshold must be >= 3")
@@ -523,15 +567,18 @@ def overp_base_point(
                 f"full verification would need primes up to {top}; "
                 "pass verify_prime_cap to accept a partial certification"
             )
-        for q in primes_upto(top):
-            if q <= p_threshold:
-                continue
-            reach = _loglog_range(q)
-            if q**k > n + reach:
-                break
-            r = -n % q**k
-            if 1 <= r <= reach:
-                return True
+        primes = primes_upto(top)
+        for g in range(bisect_right(primes, p_threshold), len(primes), _RESIDUE_GROUP):
+            group = primes[g : g + _RESIDUE_GROUP]
+            powers = [q**k for q in group]
+            rem = n % prod(powers)
+            for q, q_k in zip(group, powers):
+                reach = _loglog_range(q)
+                if q_k > n + reach:
+                    return False
+                r = -rem % q_k
+                if 1 <= r <= reach:
+                    return True
         return False
 
     n = modulus * (min_value // modulus + 1)

@@ -80,21 +80,30 @@ class PrimeTable:
 _memo = array("I")
 _memo_limit = 1
 
+# Longest stretch of new integers _extend_memo sieves in one bytearray; it
+# bounds the sieve's scratch memory however far one request grows the memo.
+MEMO_SEGMENT = 1 << 20
+
 
 def _extend_memo(n: int) -> None:
-    """Grow the memo to every prime up to n > _memo_limit."""
+    """Grow the memo to every prime up to n > _memo_limit, sieving the new
+    integers MEMO_SEGMENT at a time and joining their primes to the memo once."""
     global _memo, _memo_limit
     root = isqrt(n)
     if root > _memo_limit:
         _extend_memo(root)
-    lo = _memo_limit + 1  # after the recursion, which may have moved it
-    flags = bytearray([1]) * (n - lo + 1)
-    for p in _memo:
-        if p > root:
-            break
-        start = max(p * p, lo + -lo % p)
-        flags[start - lo :: p] = bytes(len(range(start, n + 1, p)))
-    _memo = _memo + array("I", compress(range(lo, n + 1), flags))
+    found = array("I")
+    # after the recursion, which may have moved the memo's limit
+    for lo in range(_memo_limit + 1, n + 1, MEMO_SEGMENT):
+        hi = min(lo + MEMO_SEGMENT - 1, n)
+        flags = bytearray([1]) * (hi - lo + 1)
+        for p in _memo:
+            if p * p > hi:
+                break
+            start = max(p * p, lo + -lo % p)
+            flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+        found.extend(compress(range(lo, hi + 1), flags))
+    _memo = _memo + found
     _memo_limit = n
 
 

@@ -9,6 +9,8 @@ from itertools import product
 from math import log
 from random import Random
 
+from kfree.errors import BudgetError
+
 
 def trial_division_primes(limit):
     primes = []
@@ -270,4 +272,64 @@ def sample_flat(c, x_max, seed, k=2):
         n
         for n in range(3, x_max + 1)
         if free[n] and _uniform01(seed, n) < min(c * log(n) * log(log(n)) / n, 1.0)
+    )
+
+
+def prime_flags(limit):
+    """Entry n is 1 when n is prime, for 0 <= n <= limit: one flat sieve of
+    Eratosthenes over the whole range, with no segments and no memo."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[: min(2, limit + 1)] = bytes(min(2, limit + 1))
+    p = 2
+    while p * p <= limit:
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        p += 1
+    return flags
+
+
+def overp_base_point_flat(p_threshold, k=2, max_candidates=1_000_000, verify_prime_cap=None, min_value=0):
+    """``overp_base_point`` checked one prime at a time: for each multiple n
+    of prod_{p <= P} p^k above min_value, every prime q > P in ascending
+    order, up to the cap or kth_root(n) + 2, until q^k > n + reach(q), with
+    -n mod q^k reduced from n itself.  The primes come from ``prime_flags``;
+    the same BudgetError messages are raised."""
+    modulus = 1
+    for p in trial_division_primes(p_threshold):
+        modulus *= p**k
+
+    def violates(n):
+        # the largest top with top^k <= n, by bisection, plus 2
+        low, high = 0, 1 << (n.bit_length() // k + 1)
+        while low < high:
+            mid = (low + high + 1) // 2
+            low, high = (mid, high) if mid**k <= n else (low, mid - 1)
+        top = low + 2
+        if verify_prime_cap is not None:
+            top = min(top, verify_prime_cap)
+        elif top > 10_000_000:
+            raise BudgetError(
+                f"full verification would need primes up to {top}; "
+                "pass verify_prime_cap to accept a partial certification"
+            )
+        flags = prime_flags(top)
+        for q in range(p_threshold + 1, top + 1):
+            if not flags[q]:
+                continue
+            reach = int(q / log(log(q)) ** 2)
+            if q**k > n + reach:
+                break
+            r = -n % q**k
+            if 1 <= r <= reach:
+                return True
+        return False
+
+    n = modulus * (min_value // modulus + 1)
+    for _ in range(max_candidates):
+        if not violates(n):
+            return n
+        n += modulus
+    raise BudgetError(
+        f"no multiple of {modulus} passed the translate conditions within "
+        f"{max_candidates} candidates"
     )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kfree import sieve
+from kfree import constructions, sieve
 from kfree.constructions import (
     _reject_bound,
     DenseQState,
@@ -26,6 +26,7 @@ from kfree.sieve import build_prime_table, kfree_window
 from oracles import (
     dense_anchor_flat,
     kfree_by_factorization,
+    overp_base_point_flat,
     sample_flat,
     trial_division_primes,
 )
@@ -342,6 +343,28 @@ class TestSampler:
                     c, x_max, seed, k
                 ), (c, x_max, seed, k)
 
+    def test_lane_chunks_match_flat_reference(self, monkeypatch):
+        # x_max on both sides of the first chunk edges, so chunks of one
+        # member, partial last chunks and chunks with no k-free member (4;
+        # 48, 49, 50 at chunk length 3) all occur
+        rng = random.Random(20261019)
+        empty_chunk_seen = False
+        for chunk in (1, 2, 3, 5):
+            monkeypatch.setattr(constructions, "_LANE_CHUNK", chunk)
+            edges = sorted({3 + j * chunk + d for j in range(1, 20) for d in (-1, 0, 1)})
+            for k in (2, 3):
+                flags = kfree_window(3, edges[-1] - 2, k).flags
+                empty_chunk_seen |= not all(
+                    any(flags[i : i + chunk]) for i in range(0, len(flags) - chunk + 1, chunk)
+                )
+                for x_max in edges + [1000 + chunk]:
+                    seed = rng.choice((rng.randrange(-(2**70), 0), rng.randrange(2**64, 2**72)))
+                    c = rng.choice((0.5, 5, 100))
+                    assert sample_counterexample(c, x_max, seed, k) == sample_flat(
+                        c, x_max, seed, k
+                    ), (chunk, c, x_max, seed, k)
+        assert empty_chunk_seen
+
 
 def _covers_exact_rate(bound, n, c):
     """bound / 2**64 >= min(c * ln n * lnln n / n, 1), the rate as a real
@@ -439,6 +462,36 @@ class TestOverPBasePoints:
         second = overp_base_point(3, min_value=first)
         assert second > first and second % 36 == 0
 
+    def test_matches_flat_reference(self):
+        # 61 and 67 end the first group of 16 primes above 3 exactly and one
+        # prime past it; the other caps end groups part-way for most P.  For
+        # time, the cap of 10**5 is checked on every eighth P, and the
+        # uncapped check is left out at P = 18 (the primes of P = 17) and
+        # P = 19..22 (640k primes a candidate); from P = 23 on it raises
+        # BudgetError on both sides.
+        def outcome(function, p_threshold, k, cap, min_value=0):
+            try:
+                return function(p_threshold, k, verify_prime_cap=cap, min_value=min_value)
+            except BudgetError as error:
+                return str(error)
+
+        for k in (2, 3):
+            for p_threshold in range(3, 61):
+                caps = [None, 10, 61, 67, 100, 1000]
+                if 18 <= p_threshold <= 22:
+                    caps.remove(None)
+                if p_threshold % 8 == 3:
+                    caps.append(10**5)
+                for cap in caps:
+                    first = outcome(overp_base_point, p_threshold, k, cap)
+                    assert first == outcome(overp_base_point_flat, p_threshold, k, cap), (
+                        p_threshold, k, cap
+                    )
+                    if isinstance(first, int):
+                        assert outcome(overp_base_point, p_threshold, k, cap, first) == outcome(
+                            overp_base_point_flat, p_threshold, k, cap, first
+                        ), (p_threshold, k, cap)
+
 
 class TestOverPSequence:
     def test_depth_zero(self):
@@ -461,3 +514,11 @@ class TestOverPSequence:
     def test_depth_three_refused(self):
         with pytest.raises(BudgetError):
             overp_sequence(3, 3)
+
+    def test_depth_two_anchors_match_flat_reference(self):
+        result = overp_sequence(3, 2)
+        assert result.thresholds == (46, 4855)
+        first = overp_base_point_flat(46, 2, 100_000, 100_000)
+        second = overp_base_point_flat(4855, 2, 100_000, 100_000, first)
+        assert result.anchors == (first, second)
+        assert second.bit_length() == 13706

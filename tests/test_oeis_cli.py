@@ -239,6 +239,18 @@ class TestCli:
         code, text = run_cli(["construct", "overp", "--p", "3"])
         assert code == 0 and text == "252\n"
 
+    def test_overp_depth_two_stdout(self):
+        code, text = run_cli(["construct", "overp", "--depth", "2"])
+        assert code == 0
+        assert text == (
+            '{"thresholds": [46, 4855], "anchor_bits": [110, 13706], "induced": '
+            "[1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, "
+            "30, 31, 33, 34, 35, 37, 38, 39, 41, 42, 43, 46, 47, 51, 53, 55, 57, "
+            "58, 59, 61, 62, 65, 66, 67, 69, 70, 71, 73, 74, 77, 78, 79, 82, 83, "
+            "85, 86, 87, 89, 91, 93, 94, 95, 97], "
+            '"certification": "PI_CERTIFIED(100000)"}\n'
+        )
+
     def test_verify_appendix(self):
         code, text = run_cli(["verify-appendix", "--trials", "50", "--seed", "1"])
         assert code == 0 and "50/50" in text

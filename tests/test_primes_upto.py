@@ -2,6 +2,7 @@
 against trial division, whatever order the requests come in."""
 
 import random
+import tracemalloc
 from array import array
 from bisect import bisect_right
 
@@ -12,7 +13,7 @@ from kfree.errors import ResourceError
 from kfree.properties import property_p_evidence
 from kfree.sieve import PrimeTable, build_prime_table, count_power_free_upto, primes_upto
 
-from oracles import trial_division_primes
+from oracles import prime_flags, trial_division_primes
 
 TOP = 60_000
 ORACLE = trial_division_primes(TOP)
@@ -69,6 +70,40 @@ def test_jump_past_the_square_of_the_memo():
     primes_upto(10)
     assert list(primes_upto(40_000)) == expected(40_000)
     assert list(sieve._memo) == expected(40_000)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 64, 1000])
+def test_segmented_growth_matches_a_flat_sieve(monkeypatch, segment):
+    # requests end on prime squares and their neighbours, segment edges fall
+    # on primes and composites alike, and a jump past the memo's square runs
+    # the recursion with small segments too
+    monkeypatch.setattr(sieve, "MEMO_SEGMENT", segment)
+    flags = prime_flags(6000)
+    rng = random.Random(segment)
+    limits = [2, 3, 4, 9, 10, 25, 48, 49, 50, 121, 400] + sorted(
+        rng.randrange(400, 6000) for _ in range(6)
+    )
+    for n in limits:
+        assert list(primes_upto(n)) == [m for m in range(n + 1) if flags[m]], (segment, n)
+    assert sieve._memo_limit == limits[-1]
+    monkeypatch.setattr(sieve, "_memo", array("I"))
+    monkeypatch.setattr(sieve, "_memo_limit", 1)
+    assert list(primes_upto(6000)) == [m for m in range(6001) if flags[m]]
+
+
+def test_one_jump_peaks_with_the_segment_not_the_jump(monkeypatch):
+    # the new primes are held twice while the memo is joined, and one
+    # segment's flags and strike bytes on top of that
+    monkeypatch.setattr(sieve, "MEMO_SEGMENT", 1 << 14)
+    primes_upto(1000)
+    tracemalloc.start()
+    try:
+        primes_upto(400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    memo_bytes = sieve._memo.itemsize * len(sieve._memo)
+    assert peak < 3 * memo_bytes + 2 * sieve.MEMO_SEGMENT
 
 
 def test_byte_cap_applies_to_every_request(monkeypatch):
