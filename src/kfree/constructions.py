@@ -27,6 +27,7 @@ from .properties import (
 )
 from .sieve import (
     _require_bytes,
+    RESIDUE_GROUP,
     ResidueClass,
     crt_combine,
     integer_kth_root,
@@ -97,12 +98,18 @@ def property_p_sequence(f, count: int, k: int = 2) -> SlowDensitySequence:
     if count < 0:
         raise ValueError("count must be nonnegative")
     horizon = max(count, THRESHOLD_HORIZON)
+    # f(horizon - i) at i, for the indices the scans below have reached: each
+    # scan descends from horizon, so they form one run and f is called at
+    # most once per index.
+    values = []
 
     def threshold_index(w: int, lowest: int) -> int | None:
         # smallest j0 >= lowest with f(j) >= w for all j in [j0, horizon]
         j0 = None
-        for j in range(horizon, lowest - 1, -1):
-            if f(j) < w:
+        for i, j in enumerate(range(horizon, lowest - 1, -1)):
+            if i == len(values):
+                values.append(f(j))
+            if values[i] < w:
                 break
             j0 = j
         return j0
@@ -520,10 +527,10 @@ def _loglog_range(p: int) -> int:
     return int(p / log(log(p)) ** 2)
 
 
-# Consecutive q^k whose product overp_base_point reduces a base point by at
-# once: at a 13706-bit base point, groups of 16-32 were fastest, and groups
-# of 2 or 128 about twice as slow.
-_RESIDUE_GROUP = 16
+# reach(q) = _loglog_range(q) is at most _REACH_FACTOR * q for every q >= 5:
+# its largest ratio to q is 4.4, at reach(5) = 22, and it is below q once
+# q > e^e, where lnln q > 1.
+_REACH_FACTOR = 5
 
 
 def overp_base_point(
@@ -538,7 +545,7 @@ def overp_base_point(
 
     Only finitely many q can interfere once n is fixed (q^k must not exceed
     n plus the range), and each is checked through -n mod q^k.  The q are
-    taken in ascending order, in groups of _RESIDUE_GROUP consecutive primes:
+    taken in ascending order, in groups of RESIDUE_GROUP consecutive primes:
     n, which can run to thousands of bits, is reduced once modulo the
     product of the group's q^k, and each -n mod q^k is taken from that small
     remainder, which is congruent to n modulo every q^k of the group.  A q is
@@ -557,8 +564,11 @@ def overp_base_point(
         modulus *= p**k
 
     def violates(n: int) -> bool:
-        # the loop below stops once q^k > n + reach(q); reach(q) < q, so no
-        # prime beyond kth_root(n) + 2 can interfere
+        # A prime q >= kth_root(n) + 3 has n < (q - 2)^k, so q^k - n exceeds
+        # q^k - (q - 2)^k >= 4q - 4, which is at least reach(q) for q >= 7
+        # (reach(q) <= 15 at q = 7, 11, 13 and below q beyond); q = 5 would
+        # need n < 9, below every base point.  So q^k > n + reach(q) there,
+        # and no prime beyond top can interfere.
         top = integer_kth_root(n, k) + 2
         if verify_prime_cap is not None:
             top = min(top, verify_prime_cap)
@@ -568,17 +578,21 @@ def overp_base_point(
                 "pass verify_prime_cap to accept a partial certification"
             )
         primes = primes_upto(top)
-        for g in range(bisect_right(primes, p_threshold), len(primes), _RESIDUE_GROUP):
-            group = primes[g : g + _RESIDUE_GROUP]
+        for g in range(bisect_right(primes, p_threshold), len(primes), RESIDUE_GROUP):
+            group = primes[g : g + RESIDUE_GROUP]
             powers = [q**k for q in group]
             rem = n % prod(powers)
             for q, q_k in zip(group, powers):
-                reach = _loglog_range(q)
-                if q_k > n + reach:
-                    return False
                 r = -rem % q_k
-                if 1 <= r <= reach:
-                    return True
+                # With r > _REACH_FACTOR * q >= reach(q) and q^k <= n, q
+                # neither stops the scan nor violates, so reach(q) is needed
+                # only past one of those two cuts.
+                if r <= _REACH_FACTOR * q or q_k > n:
+                    reach = _loglog_range(q)
+                    if q_k > n + reach:
+                        return False
+                    if 1 <= r <= reach:
+                        return True
         return False
 
     n = modulus * (min_value // modulus + 1)

@@ -333,3 +333,67 @@ def overp_base_point_flat(p_threshold, k=2, max_candidates=1_000_000, verify_pri
         f"no multiple of {modulus} passed the translate conditions within "
         f"{max_candidates} candidates"
     )
+
+
+def property_p_flat(f, count, k=2, horizon_floor=10_000):
+    """``property_p_sequence`` with each threshold found by its own descending
+    scan from the horizon, calling f afresh at every index it reaches.  The
+    r-th prime comes from trial division and each merged class from an
+    explicit CRT step.  Returns (terms, identity_until, active_from)."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    horizon = max(count, horizon_floor)
+
+    def threshold_index(w, lowest):
+        j0 = None
+        for j in range(horizon, lowest - 1, -1):
+            if f(j) < w:
+                break
+            j0 = j
+        return j0
+
+    w = 2**k
+    l1 = threshold_index(w, 1)
+    if l1 is None:
+        raise BudgetError(
+            f"growth function never reaches {w} on indices up to {horizon}; "
+            "it must tend to infinity"
+        )
+    primes = trial_division_primes(100)
+
+    def prime(r):
+        nonlocal primes
+        while len(primes) < r:
+            primes = trial_division_primes(2 * primes[-1])
+        return primes[r - 1]
+
+    levels = [(1, l1)]
+    r = 1
+    while levels[-1][1] <= count:
+        r += 1
+        w *= prime(r) ** k
+        j0 = threshold_index(w, levels[-1][1] + 1)
+        if j0 is None:
+            break
+        levels.append((r, j0))
+
+    terms = []
+    residue, modulus = 0, 1
+    level_pos = 0
+    for j in range(1, count + 1):
+        while level_pos < len(levels) and levels[level_pos][1] <= j:
+            r_new = levels[level_pos][0]
+            q = prime(r_new) ** k
+            # the n = residue (mod modulus) with n = -r_new (mod q)
+            lift = (-r_new - residue) * pow(modulus, -1, q) % q
+            residue, modulus = residue + modulus * lift, modulus * q
+            level_pos += 1
+        if j <= l1:
+            terms.append(j)
+        else:
+            prev = terms[-1]
+            step = (residue - prev) % modulus
+            terms.append(prev + (step or modulus))
+
+    active_from = {r_level: max(j0, l1 + 1) for r_level, j0 in levels if j0 <= count}
+    return tuple(terms), l1, active_from

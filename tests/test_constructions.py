@@ -16,6 +16,7 @@ from kfree.constructions import (
     overp_base_point,
     overp_sequence,
     property_p_sequence,
+    resolve_growth,
     sample_counterexample,
     suff_witness_search,
 )
@@ -27,6 +28,7 @@ from oracles import (
     dense_anchor_flat,
     kfree_by_factorization,
     overp_base_point_flat,
+    property_p_flat,
     sample_flat,
     trial_division_primes,
 )
@@ -64,6 +66,33 @@ class TestSlowDensitySequence:
         assert seq.identity_until == 1
         assert seq.terms[0] == 1
         assert all((t + 1) % 4 == 0 for t in seq.terms[1:])
+
+    @pytest.mark.parametrize(
+        "growth",
+        sorted(GROWTH_FUNCTIONS) + ["times3", "non-monotone"],
+    )
+    @pytest.mark.parametrize("count", [0, 1, 500, 12000])
+    def test_matches_flat_scan_and_calls_growth_once_per_index(self, growth, count):
+        # 12000 is past THRESHOLD_HORIZON, so the horizon is the count itself;
+        # the non-monotone f dips at every 11th index, below the thresholds
+        if growth == "non-monotone":
+            f = lambda j: 3 * j if j % 11 else max(1, j // 40)
+        else:
+            f = resolve_growth(growth)
+        flat_calls, calls = [], []
+
+        def counted(log):
+            def g(j):
+                log.append(j)
+                return f(j)
+
+            return g
+
+        expected = property_p_flat(counted(flat_calls), count, 2, constructions.THRESHOLD_HORIZON)
+        seq = property_p_sequence(counted(calls), count)
+        assert (seq.terms, seq.identity_until, seq.active_from) == expected
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(flat_calls)
 
     def test_explosive_growth_stacks_many_congruences(self, monkeypatch):
         monkeypatch.setattr("kfree.constructions.THRESHOLD_HORIZON", 12)
@@ -461,6 +490,18 @@ class TestOverPBasePoints:
         first = overp_base_point(3)
         second = overp_base_point(3, min_value=first)
         assert second > first and second % 36 == 0
+
+    def test_reach_stays_within_the_skip_bound(self):
+        # violates takes reach(q) only where -n mod q^k <= _REACH_FACTOR * q
+        # or q^k > n; that skips no decision only while reach(q) stays within
+        # the factor.  reach(q) exceeds q at q = 5, 7, 11, 13, so a factor of
+        # 1 would skip real violations: at P = 3 it would accept 180, whose
+        # translate 180 + 20 is divisible by 5^2.
+        factor = constructions._REACH_FACTOR
+        assert all(constructions._loglog_range(q) <= factor * q for q in range(5, 10**6 + 1))
+        assert [constructions._loglog_range(q) for q in (5, 7, 11, 13)] == [22, 15, 14, 14]
+        for p_threshold in (3, 5, 7):
+            assert overp_base_point(p_threshold) == overp_base_point_flat(p_threshold)
 
     def test_matches_flat_reference(self):
         # 61 and 67 end the first group of 16 primes above 3 exactly and one

@@ -15,7 +15,7 @@ from kfree.properties import (
     named_sequence_prefix,
     property_p_evidence,
 )
-from kfree.sieve import translate_flags
+from kfree.sieve import NARROW_SHIFT_BITS, RESIDUE_GROUP, translate_flags
 
 from oracles import kfree_by_factorization, translate_free_flags, trial_division_primes
 
@@ -55,6 +55,32 @@ class TestTranslateFlags:
         for _ in range(50):
             elements = [rng.randrange(10**40, 10**41) for _ in range(rng.randrange(1, 4))]
             self._check(1, rng.randrange(0, 300), elements, SMALL_PRIMES[:20], 2)
+
+    def test_wide_elements_mixed_with_narrow(self):
+        # Shifts wider than NARROW_SHIFT_BITS are reduced once per group of
+        # RESIDUE_GROUP primes (16): the prime lists end one short of a
+        # group, exactly at one, one past it and one past two groups.  The
+        # widths sit at 64 bits, at the cut and near 10^40, among narrow
+        # elements.
+        rng = random.Random(404)
+        cut = NARROW_SHIFT_BITS
+        widths = (63, 64, 65, cut - 1, cut, cut + 1, 133)
+        group = RESIDUE_GROUP
+        for size in (group - 1, group, group + 1, 2 * group + 1):
+            primes = SMALL_PRIMES[:size]
+            for k in (2, 3):
+                for lo in (1, 7, -(10**6), -(1 << 70)):
+                    for step in (1, 2**k, 3**k * 5**k):
+                        listed = [p for p in primes if step % p]
+                        elements = [rng.randrange(0, 400) for _ in range(2)]
+                        for bits in widths:
+                            # lo + a has exactly the given width, so the
+                            # shift -(lo + a) does as well
+                            a = (1 << (bits - 1)) + rng.randrange(1 << (bits - 2)) - lo
+                            assert (lo + a).bit_length() == bits
+                            elements.append(a)
+                        rng.shuffle(elements)
+                        self._check(lo, rng.randrange(50, 200), elements, listed, k, step)
 
     def test_edge_lengths_and_empty_inputs(self):
         for k in (2, 3):
