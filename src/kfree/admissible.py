@@ -35,18 +35,10 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import floor
-from random import Random
 
 from . import sieve
 from .large_sieve import OmegaProfile, optimize_q
-from .sieve import (
-    _require_bytes,
-    crt_combine,
-    integer_kth_root,
-    primes_upto,
-    ResidueClass,
-    translate_flags,
-)
+from .sieve import _require_bytes, integer_kth_root, primes_upto, translate_flags
 
 EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
@@ -250,24 +242,16 @@ def recompute_witness_value(result: AdmissibleMaxResult) -> int:
     return len(survivors)
 
 
-def admissible_max_lower_shift(
-    x: int,
-    k: int = 2,
-    shifts=None,
-    random_draws: int = 0,
-    seed: int = 0,
-) -> tuple[int, int]:
-    """Best shifted-window survivor count: max over shifts y of
-    |{a in [1, x] : p^k does not divide y + a for any p^k <= x}|.
+def admissible_max_lower_shift(x: int, k: int = 2, *, shifts) -> tuple[int, int]:
+    """Best shifted-window survivor count: max over the shifts y in
+    ``shifts`` of |{a in [1, x] : p^k does not divide y + a for any p^k <= x}|.
 
     Always a lower bound for the exact maximum, since each shifted pattern
-    avoids the class -y mod p^k for every constraining prime.  ``shifts``
-    enumerates explicit y; ``random_draws`` adds seeded draws of y modulo the
-    full primorial power, combined by CRT.  Ties go to the first candidate
-    tried: the explicit shifts in the order given, then the draws, so
-    ``shifts=[5, 0]`` at x = 10 returns (7, 5).
+    avoids the class -y mod p^k for every constraining prime.  Ties go to
+    the first shift in the order given, so ``shifts=[5, 0]`` at x = 10
+    returns (7, 5); an empty ``shifts`` raises ValueError.
 
-    Nearby shifts share one strike.  The distinct candidates, sorted, are cut
+    Nearby shifts share one strike.  The distinct shifts, sorted, are cut
     into runs whose common window [start + 1, last + x] is at most 2x long
     and within the byte cap, and each run's window is struck once, so a
     scan over ``range(2000)`` strikes about 2000 / x windows, not 2000.  A
@@ -277,14 +261,10 @@ def admissible_max_lower_shift(
     if x < 1:
         raise ValueError("x must be >= 1")
     _require_bytes(x, f"window of length {x}")
-    primes = _constraining_primes(x, k)
-    candidates: list[int] = list(shifts) if shifts is not None else ([0] if not random_draws else [])
-    rng = Random(seed)
-    for _ in range(random_draws):
-        residues = [ResidueClass(rng.randrange(p**k), p**k) for p in primes]
-        candidates.append(crt_combine(residues).residue if residues else 0)
+    candidates = list(shifts)
     if not candidates:
-        raise ValueError("no shifts to try: give explicit shifts or random draws")
+        raise ValueError("no shifts to try")
+    primes = _constraining_primes(x, k)
 
     # a run's window spans at most 2x bytes, so it costs at most twice the
     # strikes of its first shift alone however sparse the run is

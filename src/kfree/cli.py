@@ -61,6 +61,8 @@ def figure_shift_data(x_max: int, k: int = 2, time_budget: float | None = None) 
     term x/zeta(k); the status column records whether the maximum is exact."""
     if x_max < 1:
         raise ValueError("x_max must be >= 1")
+    if k < 2:
+        raise ValueError("k must be >= 2")
     rows = []
     for result in admissible_max_sweep(x_max, k, time_budget):
         main = density_main_term(result.x, k)

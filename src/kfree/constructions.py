@@ -260,7 +260,7 @@ def suff_witness_search(
         raise ValueError("interval must start at 1 or later")
 
     first = lo + (target - lo) % modulus
-    return _witness_scan(elements, lo, hi, first, modulus, k, None, seed)
+    return _witness_scan(elements, lo, hi, first, modulus, k, seed)
 
 
 # --- dense anchors: iterated key construction ----------------------------------
@@ -558,6 +558,8 @@ def overp_base_point(
         raise ValueError("prime threshold must be >= 3")
     if k < 2:
         raise ValueError("k must be >= 2")
+    if max_candidates < 1:
+        raise ValueError("max_candidates must be >= 1")
     small = primes_upto(p_threshold)
     modulus = 1
     for p in small:

@@ -4,8 +4,8 @@ pairwise-sum checks, and evidence tables.
 
 Translate witnesses and evidence tables are sieved, not trial-divided: the
 shifts n with p^k | n + a form the class -a mod p^k, struck by
-:func:`~kfree.sieve.translate_flags`.  Which primes a witness was checked
-against is recorded by one rule, :meth:`Certification.checked_to`.
+:func:`~kfree.sieve.translate_flags`.  Every prime that could divide a
+translate is struck, so a witness is always FULL.
 
 All searches are deterministic with fixed tie-breaking: smallest witness,
 smallest avoided residue, lexicographically first violation.
@@ -317,16 +317,16 @@ def _first_good(good: bytearray, seed: int | None) -> tuple[int, int]:
 
 
 def _witness_scan(
-    elements, lo: int, hi: int, first: int, step: int, k: int, prime_cutoff, seed=None
+    elements, lo: int, hi: int, first: int, step: int, k: int, seed=None
 ) -> WitnessReport | NoWitness:
     """Scan the candidates n = first + i*step <= hi, in increasing or seeded
-    order, for the first with no translate n + a divisible by a checked p^k;
-    only primes prime to ``step`` are struck.  The count is checked against
-    the byte cap before any prime is requested."""
+    order, for the first with no translate n + a divisible by any p^k; only
+    primes prime to ``step`` are struck, and a witness is FULL.  The count is
+    checked against the byte cap before any prime is requested."""
     count = max(0, (hi - first) // step + 1)
     _require_bytes(count, f"scan range [{lo}, {hi}]")
     needed = integer_kth_root(hi + elements[-1], k) if elements else 0
-    certification = Certification.checked_to(needed, prime_cutoff)
+    certification = Certification.checked_to(needed, None)
     primes = [p for p in primes_upto(certification.prime_cutoff) if step % p]
     good = translate_flags(first, count, elements, primes, k, step=step)
     i, _ = _first_good(good, seed)
@@ -335,38 +335,34 @@ def _witness_scan(
     return WitnessReport.sieved(first + i * step, certification, elements)
 
 
-def find_translate_witness(
-    values, lo: int, hi: int, k: int = 2, prime_cutoff: int | None = None
-) -> WitnessReport | NoWitness:
-    """Smallest n in [lo, hi] with n + a k-free for every element a.
+def find_translate_witness(values, lo: int, hi: int, k: int = 2) -> WitnessReport | NoWitness:
+    """Smallest n in [lo, hi] with n + a k-free for every element a, checked
+    against every prime that could divide a translate, so always FULL.
 
-    k-freeness is checked against primes up to ``prime_cutoff`` (None means
-    all primes that could divide, giving a FULL certification).  Bad n are
-    sieved out by striking the classes -a mod p^k instead of testing each
-    candidate: the translate n + a is divisible by p^k exactly when
-    n = -a (mod p^k).  So no checked p^k divides any translate of the
-    witness, and every trace entry's divisor is None.  A range longer than
-    the byte cap raises ResourceError before any prime is requested.
+    Bad n are sieved out by striking the classes -a mod p^k instead of
+    testing each candidate: n + a is divisible by p^k exactly when
+    n = -a (mod p^k), so every trace entry's divisor is None.  A range longer
+    than the byte cap raises ResourceError before any prime is requested.
     """
     elements = as_elements(values)
     if lo < 1:
         raise ValueError("interval must start at 1 or later")
     if hi < lo:
         return NoWitness(0)
-    return _witness_scan(elements, lo, hi, lo, 1, k, prime_cutoff)
+    return _witness_scan(elements, lo, hi, lo, 1, k)
 
 
-def check_q_prefix(
-    seq, j: int, strategy: str = "PLAIN_SCAN", k: int = 2
-) -> WitnessReport | NoWitness:
+def check_q_prefix(seq, j: int, strategy: str = "PLAIN_SCAN", k: int = 2) -> WitnessReport | NoWitness:
     """Look for n with n + a_i k-free for all i < j, for a sequence prefix.
 
     ``seq`` is a named tag ("A1".."A4") or an explicit increasing sequence
     with at least j elements.  Strategies: PLAIN_SCAN searches the open gap
-    (a_{j-1}, a_j); HALF_INTERVAL searches [a_j/2, a_j]; CRT delegates to the
-    primorial-structured search in :mod:`kfree.constructions`.  Raises
-    NotAdmissibleError if the prefix is blocked at some prime.
+    (a_{j-1}, a_j); HALF_INTERVAL searches [a_j/2, a_j].  Any other strategy
+    raises ValueError before the prefix is read.  Raises NotAdmissibleError
+    if the prefix is blocked at some prime.
     """
+    if strategy not in ("PLAIN_SCAN", "HALF_INTERVAL"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     if j < 2:
         raise ValueError("need j >= 2")
     if isinstance(seq, str):
@@ -382,15 +378,8 @@ def check_q_prefix(
     if isinstance(cert, NotAdmissible):
         raise NotAdmissibleError(cert.prime)
 
-    if strategy == "PLAIN_SCAN":
-        return find_translate_witness(prefix, a_prev + 1, a_j - 1, k)
-    if strategy == "HALF_INTERVAL":
-        return find_translate_witness(prefix, (a_j + 1) // 2, a_j, k)
-    if strategy == "CRT":
-        from .constructions import suff_witness_search
-
-        return suff_witness_search(prefix, a_j, k=k)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    lo, hi = (a_prev + 1, a_j - 1) if strategy == "PLAIN_SCAN" else ((a_j + 1) // 2, a_j)
+    return find_translate_witness(prefix, lo, hi, k)
 
 
 # --- pairwise sums ------------------------------------------------------------
@@ -403,19 +392,16 @@ class SumViolation:
     prime: int  # smallest p with p^k | a + a'
 
 
-def check_squarefree_sums(
-    values, include_diagonal: bool = True, k: int = 2
-) -> SumViolation | None:
+def check_squarefree_sums(values, k: int = 2) -> SumViolation | None:
     """None if every pairwise sum is k-free, else the first violating pair.
 
     Pairs (a, a') with a <= a' are scanned in lexicographic order; the
-    diagonal a = a' is included by default, matching the set-translate
+    diagonal a = a' is always included, matching the set-translate
     definition where each element's own translate must contain the set.
     """
     elements = as_elements(values)
     for i, a in enumerate(elements):
-        start = i if include_diagonal else i + 1
-        for a2 in elements[start:]:
+        for a2 in elements[i:]:
             p = smallest_power_divisor(a + a2, k)
             if p is not None:
                 return SumViolation(a, a2, p)

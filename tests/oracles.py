@@ -162,22 +162,6 @@ def lower_shift_flat(x, k, candidates):
     return best
 
 
-def shift_draws_flat(x, k, draws, seed):
-    """The shifts behind ``random_draws=draws, seed=seed``: per draw, one
-    seeded residue mod p^k for each p^k <= x in ascending p, joined by the
-    CRT sum over M / p^k times its inverse mod p^k."""
-    powers = [p**k for p in trial_division_primes(x) if p**k <= x]
-    modulus = 1
-    for q in powers:
-        modulus *= q
-    rng = Random(seed)
-    shifts = []
-    for _ in range(draws):
-        residues = [rng.randrange(q) for q in powers]
-        shifts.append(sum(r * (modulus // q) * pow(modulus // q, -1, q) for r, q in zip(residues, powers)) % modulus)
-    return shifts
-
-
 def dense_anchor_flat(anchors, k, x, seed=None):
     """The next anchor ``dense_q_step`` must choose, and its 1-based position
     among the candidates: the first multiple m of prod_{p <= n^2} p^k in

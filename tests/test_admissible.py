@@ -25,7 +25,6 @@ from oracles import (
     lex_smallest_optimal_flat,
     lower_shift_flat,
     min_removed_flat,
-    shift_draws_flat,
 )
 
 
@@ -283,31 +282,27 @@ class TestLowerShift:
     def test_trivial_window(self):
         assert admissible_max_lower_shift(1, shifts=[0]) == (1, 0)
 
-    def test_random_draws_are_deterministic(self):
-        a = admissible_max_lower_shift(20, shifts=[], random_draws=32, seed=7)
-        b = admissible_max_lower_shift(20, shifts=[], random_draws=32, seed=7)
-        assert a == b
+    def test_shifts_are_required_by_keyword(self):
+        with pytest.raises(TypeError):
+            admissible_max_lower_shift(10)
+        with pytest.raises(TypeError):
+            admissible_max_lower_shift(10, 2, [0])
 
     def test_never_exceeds_exact(self):
         for x in (6, 11, 17, 23, 29):
-            count, _ = admissible_max_lower_shift(x, shifts=range(2000), random_draws=50, seed=1)
+            count, _ = admissible_max_lower_shift(x, shifts=range(2000))
             assert count <= admissible_max_exact(x).value
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_trial_division(self, k):
         # unsorted, duplicated and negative shifts (y = -1 puts 0 in the
-        # window), both tie orders and seeded draws, at every x; the strided
-        # and random sets, whose runs hold many shifts, at a spread of x
+        # window) and both tie orders, at every x; the strided and random
+        # sets, whose runs hold many shifts, at a spread of x
         rng = random.Random(k)
         mixed = [17, -4, 3, 17, 0, -130, 9, 3, 250, -1]
         for x in range(1, 131):
             for shifts in (mixed, [5, 0], [0, 5], [rng.randrange(-500, 5000) for _ in range(40)]):
                 assert admissible_max_lower_shift(x, k, shifts=shifts) == lower_shift_flat(x, k, shifts), (x, shifts)
-            draws = shift_draws_flat(x, k, 8, seed=x)
-            assert admissible_max_lower_shift(x, k, shifts=[], random_draws=8, seed=x) == lower_shift_flat(x, k, draws)
-            assert admissible_max_lower_shift(x, k, shifts=mixed, random_draws=8, seed=x) == lower_shift_flat(
-                x, k, mixed + draws
-            )
         for x in (1, 6, 7, 8, 13, 14, 60, 61, 97, 120, 129, 130):
             assert admissible_max_lower_shift(x, k, shifts=range(0, 4000, 7)) == lower_shift_flat(
                 x, k, range(0, 4000, 7)

@@ -474,6 +474,11 @@ class TestOverPBasePoints:
         with pytest.raises(BudgetError):
             overp_base_point(3, max_candidates=1)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused(self, budget):
+        with pytest.raises(ValueError, match="max_candidates"):
+            overp_base_point(3, max_candidates=budget)
+
     def test_p5_within_budget(self):
         n = overp_base_point(5, max_candidates=10**6)
         assert n % 900 == 0

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from kfree import cli
 from kfree.admissible import admissible_max_lower_shift, admissible_max_upper_sieve
 from kfree.cli import figure_shift_data, main, render_figure_csv
 from kfree.constructions import DenseQState, dense_q_step
@@ -145,6 +146,15 @@ class TestFigureData:
             x = int(row["x"])
             assert int(row["lower_shift"]) == admissible_max_lower_shift(x, shifts=range(2000))[0], x
             assert int(row["upper_sieve"]) == admissible_max_upper_sieve(x), x
+
+    def test_k_below_two_is_refused_before_the_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli, "admissible_max_sweep", no_sweep)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            figure_shift_data(400, 1)
+        assert run_cli(["figure-shift", "--xmax", "400", "--k", "1"]) == (1, "")
 
     def test_budget_degrades_status_column(self):
         rows = figure_shift_data(25, time_budget=0.0)
@@ -306,6 +316,7 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["verify-named", "--tag", "A1", "--prefix", "-3", "--mode", "sums"],
         ["verify-appendix", "--trials", "-1"],
         ["construct", "overp", "--cap", "-5"],
+        ["construct", "overp", "--p", "3", "--candidates", "-5"],
         ["construct", "dense-q", "--x", "0"],
         ["sieve-bound", "--n", "10", "--q", "0"],
         ["admissible-max", "--x", "0"],

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 import tracemalloc
 
@@ -199,13 +201,6 @@ class TestTranslateWitness:
                 assert entry.divisor is None
                 assert kfree_by_factorization(entry.shifted, 2)
 
-    def test_pi_certified_tier(self):
-        report = find_translate_witness([1], 1, 50, prime_cutoff=2)
-        assert report.certification.level == "PI_CERTIFIED"
-        assert report.certification.prime_cutoff == 2
-        # only p = 2 was checked, so the witness merely avoids 3 mod 4
-        assert (report.witness + 1) % 4 != 0
-
     def test_empty_set_is_vacuous(self):
         report = find_translate_witness([], 5, 10)
         assert report.witness == 5 and report.trace == ()
@@ -228,9 +223,6 @@ class TestTranslateWitness:
         huge = named_sequence_term("A3", 25)
         with pytest.raises(ResourceError):
             find_translate_witness([huge], 1, 10)  # full certification infeasible
-        report = find_translate_witness([huge], 1, 10, prime_cutoff=1000)
-        assert report.certification.level == "PI_CERTIFIED"
-        assert report.certification.prime_cutoff == 1000
 
 
 class TestQPrefix:
@@ -253,11 +245,23 @@ class TestQPrefix:
         a5 = named_sequence_term("A1", 5)
         assert (a5 + 1) // 2 <= report.witness <= a5
 
-    def test_crt_strategy_delegates(self):
-        report = check_q_prefix("A1", 5, strategy="CRT")
-        assert report
-        for entry in report.trace:
-            assert kfree_by_factorization(entry.shifted, 2)
+    def test_crt_is_not_a_strategy(self):
+        # the primorial-structured search is reached as suff_witness_search
+        with pytest.raises(ValueError, match="unknown strategy"):
+            check_q_prefix("A1", 5, strategy="CRT")
+
+    def test_strategy_is_checked_before_the_certificate(self, monkeypatch):
+        # [1, ..., 5] fills every class mod 4, so a certificate would refuse it
+        with pytest.raises(ValueError, match="unknown strategy"):
+            check_q_prefix([1, 2, 3, 4, 5, 6], 6, strategy="BOGUS")
+
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("certificate built")
+
+        monkeypatch.setattr(properties, "admissibility_certificate", no_certificate)
+        for seq in ("A1", [1, 5, 21, 37]):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                check_q_prefix(seq, 3, strategy="BOGUS")
 
     def test_non_admissible_prefix_is_diagnosed(self):
         with pytest.raises(NotAdmissibleError) as info:
@@ -280,8 +284,7 @@ class TestSquarefreeSums:
         assert check_squarefree_sums([1, 5, 21]) is None
 
     def test_diagonal_flag(self):
-        assert check_squarefree_sums([1, 2], include_diagonal=False) is None
-        assert check_squarefree_sums([2], include_diagonal=True) == SumViolation(2, 2, 2)
+        assert check_squarefree_sums([2]) == SumViolation(2, 2, 2)
 
     def test_named_prefixes_all_fail(self):
         for tag in ("A1", "A2", "A3", "A4"):
@@ -317,3 +320,16 @@ def test_property_p_evidence():
     assert property_p_evidence([1], 3) == {1: 1, 2: 1, 3: 0}
     assert property_p_evidence([], 4) == {1: 0, 2: 0, 3: 0, 4: 0}
     assert property_p_evidence([1], 0) == {}
+
+
+def test_properties_imports_nothing_from_constructions():
+    # constructions builds on properties, never the reverse
+    tree = ast.parse(pathlib.Path(properties.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "constructions" for name in names), ast.dump(node)

@@ -11,7 +11,6 @@ from kfree.properties import (
     FULL,
     PI_CERTIFIED,
     Certification,
-    find_translate_witness,
     named_sequence_prefix,
     property_p_evidence,
 )
@@ -121,9 +120,10 @@ class TestCheckedTo:
         with pytest.raises(ValueError):
             Certification.checked_to(needed, -5)
 
-    def test_negative_cutoff_reaches_callers(self):
+    def test_negative_cutoff_reaches_callers(self, monkeypatch):
+        monkeypatch.setattr("kfree.constructions.OVERP_VERIFY_PRIME_CAP", -5)
         with pytest.raises(ValueError):
-            find_translate_witness([1, 3], 1, 100, prime_cutoff=-5)
+            overp_sequence(3, 0)
 
 
 class TestOverPCutoff:
