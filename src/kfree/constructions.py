@@ -9,7 +9,7 @@ for experiments; identical inputs and seeds always reproduce identical output.
 """
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import compress
 from math import ceil, exp, log, prod
@@ -335,22 +335,27 @@ def dense_q_step(
     n = state.anchors[-1]
     step_index = len(state.anchors)
 
-    w_primes = primes_upto(n * n)
+    # A multiple of W in [x/2, x] needs W <= x, so the product stops once it
+    # passes x, and no prime above x is requested.  When n^2 > x >= 2 the
+    # primes up to x still multiply past x: one lies in (x/2, x], and its
+    # k-th power exceeds x.  For x < 2 the product stays 1, and the spacing
+    # floor (i+1)*n >= 4 rejects every candidate.
     modulus = 1
-    for p in w_primes:
+    for p in primes_upto(min(n * n, max(x, 0))):
         modulus *= p**k
+        if modulus > x:
+            break
+    w_name = f"prod of p^{k} over p <= {n * n}"
     lo, hi = (x + 1) // 2, x
     first = lo + (-lo) % modulus
     if first > hi:
-        raise ValueError(
-            f"no multiple of the primorial power {modulus} lies in [{lo}, {hi}]"
-        )
+        raise ValueError(f"no multiple of {w_name} lies in [{lo}, {hi}]")
     spacing = (step_index + 1) * n
     if first < spacing:
         first += -(-(spacing - first) // modulus) * modulus
     if first > hi:
         raise ValueError(
-            f"multiples of {modulus} in [{lo}, {hi}] all violate the spacing "
+            f"multiples of {w_name} in [{lo}, {hi}] all violate the spacing "
             f"requirement n' >= {spacing}"
         )
     count = (hi - first) // modulus + 1
@@ -634,6 +639,13 @@ def overp_sequence(
     each a base point per :func:`overp_base_point`, plus the induced set of
     k-free a <= induced_cap whose every translate n_j + a stays k-free.
 
+    The translates are checked against the primes up to the certification's
+    cutoff, but each anchor strikes only the primes q > P_j whose range
+    reach(q) = floor(q / (lnln q)^2) is below induced_cap.  A prime q <= P_j
+    has q^k | n_j, so it divides n_j + a only when it divides the k-free a;
+    and for a larger q with reach(q) >= induced_cap, the base point search
+    has already kept q^k off n_j + 1, ..., n_j + reach(q).
+
     The doubly exponential thresholds explode fast: a depth whose primorial
     power exceeds the bit budget is refused rather than approximated.
     """
@@ -672,10 +684,27 @@ def overp_sequence(
     needed = integer_kth_root(anchors[-1] + induced_cap, k) if anchors else 0
     certification = Certification.checked_to(needed, OVERP_VERIFY_PRIME_CAP)
     primes = primes_upto(certification.prime_cutoff)
-    good = translate_flags(1, induced_cap, anchors, primes, k)
-    induced = tuple(
-        a for a in range(1, induced_cap + 1) if window.flags[a - 1] and good[a - 1]
-    )
+    # For anchor n with threshold t, k-free a <= induced_cap and a checked
+    # prime q <= cutoff <= OVERP_VERIFY_PRIME_CAP:
+    # 1. q <= t: q^k divides n, so q^k | n + a only when q^k | a, and the
+    #    k-free window already drops such a.
+    # 2. q > t with reach(q) = _loglog_range(q) >= induced_cap: the base point
+    #    check cleared n + 1, ..., n + reach(q) for q.  It either checked q
+    #    itself; or stopped at a smaller q' with q'^k > n + reach(q'), and
+    #    then q^k - q'^k >= q + q' > reach(q) - reach(q'), since reach(q) <= q
+    #    beyond e^e; or q lies above its top, where q^k > n + reach(q) (top is
+    #    below q only through the kth root, as q is within the cap).
+    # 3. q > t with reach(q) < induced_cap: struck here.  Every threshold is
+    #    at least ceil(3 * e^e) = 46 and reach is non-decreasing above 46, so
+    #    these q are the primes above t up to the first with reach(q) >=
+    #    induced_cap.
+    flags = window.flags
+    for t, anchor in zip(thresholds, anchors):
+        lo = bisect_right(primes, t)
+        hi = bisect_left(primes, induced_cap, lo, key=_loglog_range)
+        good = translate_flags(1, induced_cap, (anchor,), primes[lo:hi], k)
+        flags = bytes(map(min, flags, good))
+    induced = tuple(compress(range(1, induced_cap + 1), flags))
     return OverPSequence(
         thresholds, tuple(anchors), induced, induced_cap, certification
     )

@@ -5,6 +5,7 @@ plain trial division, counting is per-integer, and the window maximum is a
 flat product enumeration over every residue choice.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import log
 from random import Random
@@ -317,6 +318,27 @@ def overp_base_point_flat(p_threshold, k=2, max_candidates=1_000_000, verify_pri
         f"no multiple of {modulus} passed the translate conditions within "
         f"{max_candidates} candidates"
     )
+
+
+@lru_cache(maxsize=2)
+def _translate_classes(n, k, prime_cutoff):
+    """(q, first) for each q = p^k, p <= prime_cutoff from ``prime_flags``:
+    q divides n + a exactly when a = first + 1 (mod q).  Cached for the
+    last two anchors, which callers reuse across caps."""
+    primes = [p for p, is_prime in enumerate(prime_flags(prime_cutoff)) if is_prime]
+    return [(p**k, -(n + 1) % p**k) for p in primes]
+
+
+def overp_induced_flat(anchors, induced_cap, k, prime_cutoff):
+    """The induced set of ``overp_sequence`` with every prime struck for every
+    anchor: the k-free a <= induced_cap such that no p^k, p <= prime_cutoff,
+    divides n + a for any anchor n.  One slice per (anchor, prime) zeroes the
+    class -n mod p^k."""
+    flags = bytearray(kfree_window_flat(1, induced_cap, k))
+    for n in anchors:
+        for q, first in _translate_classes(n, k, prime_cutoff):
+            flags[first::q] = bytes(len(range(first, induced_cap, q)))
+    return tuple(a for a in range(1, induced_cap + 1) if flags[a - 1])
 
 
 def property_p_flat(f, count, k=2, horizon_floor=10_000):

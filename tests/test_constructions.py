@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import random
 
@@ -28,6 +29,7 @@ from oracles import (
     dense_anchor_flat,
     kfree_by_factorization,
     overp_base_point_flat,
+    overp_induced_flat,
     property_p_flat,
     sample_flat,
     trial_division_primes,
@@ -259,6 +261,36 @@ class TestDenseAnchors:
         assert state.slices[0] is None
         for _, density in report.grid:
             assert 0.0 <= density <= 1.0
+
+    def test_step_past_x_fails_after_a_handful_of_primes(self, monkeypatch):
+        # from anchor 5004, W is prod of p^2 over p <= 5004^2, far above
+        # x = 10^4: the product passes x at 2^2 3^2 5^2 7^2 = 44100
+        limits, reads = [], []
+
+        def counted_primes(limit):
+            limits.append(limit)
+            for p in sieve.primes_upto(limit):
+                reads.append(p)
+                yield p
+
+        monkeypatch.setattr(constructions, "primes_upto", counted_primes)
+        state = DenseQState(anchors=[2, 5004])
+        with pytest.raises(ValueError, match=r"^no multiple of prod of p\^2 over p <= 25040016 lies in \[5000, 10000\]$"):
+            dense_q_step(state, 0.5, 10**4)
+        assert limits == [10**4] and reads == [2, 3, 5, 7]
+        assert state.anchors == [2, 5004] and state.reports == []
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (0, r"multiples of prod of p\^2 over p <= 4 in \[0, 0\] all violate the spacing"),
+            (1, r"multiples of prod of p\^2 over p <= 4 in \[1, 1\] all violate the spacing"),
+            (8, r"no multiple of prod of p\^2 over p <= 4 lies in \[4, 8\]"),
+        ],
+    )
+    def test_tiny_x_is_an_argument_error(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            dense_q_step(DenseQState.start(2), 0.5, x)
 
     def test_requires_started_state(self):
         with pytest.raises(ValueError):
@@ -568,3 +600,42 @@ class TestOverPSequence:
         second = overp_base_point_flat(4855, 2, 100_000, 100_000, first)
         assert result.anchors == (first, second)
         assert second.bit_length() == 13706
+
+    # each anchor strikes only the primes above its threshold with reach
+    # below the cap; the oracle strikes every prime up to the cutoff
+    @pytest.mark.parametrize(
+        "k, scales, caps",
+        [
+            (2, (3, 4, 5, 7, 10, 20), (1, 10, 50, 200, 1000, 5000)),
+            (3, (3, 5, 10), (1, 100, 1000)),
+        ],
+    )
+    def test_induced_set_matches_striking_every_prime(self, monkeypatch, k, scales, caps):
+        # the anchors do not depend on the cap: search each base point once
+        monkeypatch.setattr(constructions, "overp_base_point", functools.cache(overp_base_point))
+        for scale in scales:
+            for depth in (0, 1, 2):
+                for cap in caps:
+                    result = overp_sequence(scale, depth, k, induced_cap=cap)
+                    expected = overp_induced_flat(
+                        result.anchors, cap, k, result.certification.prime_cutoff
+                    )
+                    assert result.induced == expected, (scale, depth, cap)
+
+    def test_strikes_primes_with_reach_between_half_cap_and_cap(self):
+        # at scale 17 the anchor is -138 mod 409^2 and reach(409) = 127: the
+        # base point search leaves the squarefree 138 open, so a cap of 200
+        # must strike 409 although its reach is past half the cap
+        result = overp_sequence(17, 1, induced_cap=200)
+        assert result.thresholds == (258,)
+        assert constructions._loglog_range(409) == 127
+        assert -result.anchors[0] % 409**2 == 138
+        assert 138 not in result.induced
+        assert result.induced == overp_induced_flat(result.anchors, 200, 2, 100_000)
+
+    def test_reach_is_non_decreasing_above_the_smallest_threshold(self):
+        # every threshold is at least ceil(3 * e^e) = 46, and the induced set
+        # stops striking at the first prime above it whose reach meets the cap
+        assert math.ceil(3 * math.exp(math.e)) == 46
+        reaches = [constructions._loglog_range(q) for q in trial_division_primes(10**5) if q > 46]
+        assert reaches == sorted(reaches)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -261,6 +262,24 @@ class TestCli:
             '"certification": "PI_CERTIFIED(100000)"}\n'
         )
 
+    def test_overp_depth_two_scale_five_stdout(self):
+        code, text = run_cli(["construct", "overp", "--depth", "2", "--cap", "1000", "--scale", "5"])
+        assert code == 0
+        result = json.loads(text)
+        assert result["thresholds"] == [76, 8091] and result["anchor_bits"] == [191, 22983]
+        assert len(result["induced"]) == 608 and result["certification"] == "PI_CERTIFIED(100000)"
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "64c7e3ae51a121685c1bebd2d9a422fdf8c7672343e17102fcc5e2c0bab62293"
+        )
+
+    def test_overp_depth_one_empty_cap_stdout(self):
+        code, text = run_cli(["construct", "overp", "--depth", "1", "--cap", "0"])
+        assert code == 0
+        assert text == (
+            '{"thresholds": [46], "anchor_bits": [110], "induced": [], '
+            '"certification": "PI_CERTIFIED(100000)"}\n'
+        )
+
     def test_verify_appendix(self):
         code, text = run_cli(["verify-appendix", "--trials", "50", "--seed", "1"])
         assert code == 0 and "50/50" in text
@@ -328,6 +347,7 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["sieve-bound", "--n", "10", "--q", "10", "--k", "1000000000"],
         ["sieve-bound", "--n", "10", "--optimize", "--qmax", "10", "--k", "1000000000"],
         ["sieve-bound", "--n", "-5", "--optimize", "--qmax", "3"],
+        ["construct", "dense-q", "--n1", "2", "--x", "10000", "--steps", "2"],
     ],
 )
 def test_bad_input_exits_1_without_traceback(argv, capsys):
