@@ -82,6 +82,10 @@ class SlowDensitySequence:
 # Fewest indices over which property_p_sequence looks for the thresholds W_r.
 THRESHOLD_HORIZON = 10_000
 
+# Most levels property_p_sequence stacks.  A growth function that returns inf
+# reaches every W_r, and would otherwise stack count + 1 of them.
+MAX_LEVELS = 1000
+
 
 def property_p_sequence(f, count: int, k: int = 2) -> SlowDensitySequence:
     """Build a sequence of density ~1/f whose translates all eventually die.
@@ -93,45 +97,58 @@ def property_p_sequence(f, count: int, k: int = 2) -> SlowDensitySequence:
 
     Thresholds are detected over max(count, THRESHOLD_HORIZON) indices; a
     growth function that never reaches W_1 = 2^k there is rejected, since the
-    output would carry no congruence structure at all.
+    output would carry no congruence structure at all, and one that reaches
+    more than MAX_LEVELS thresholds by index count raises BudgetError.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     horizon = max(count, THRESHOLD_HORIZON)
-    # f(horizon - i) at i, for the indices the scans below have reached: each
-    # scan descends from horizon, so they form one run and f is called at
-    # most once per index.
-    values = []
-
-    def threshold_index(w: int, lowest: int) -> int | None:
-        # smallest j0 >= lowest with f(j) >= w for all j in [j0, horizon]
-        j0 = None
-        for i, j in enumerate(range(horizon, lowest - 1, -1)):
-            if i == len(values):
-                values.append(f(j))
-            if values[i] < w:
-                break
-            j0 = j
-        return j0
-
-    w = 2**k
-    l1 = threshold_index(w, 1)
-    if l1 is None:
+    # One descent from the horizon keeps low = min f(i) over i in [j, horizon].
+    # start[r - 1] becomes the smallest j with low >= W_r, one past where low
+    # first falls below W_r.  Above count only W_1 can matter; at count, the
+    # W_r <= low join it, as no larger W_r is reached at or below count.  The
+    # descent ends once low falls below W_1, so f is called once at each index
+    # that per-threshold scans from the horizon would reach.
+    thresholds = [2**k]
+    start = [1]
+    alive = 1  # thresholds[:alive] are still <= low
+    low = None
+    for j in range(horizon, 0, -1):
+        value = f(j)
+        if low is None or value < low:
+            low = value
+        if j == count:
+            while len(thresholds) <= count:
+                w = thresholds[-1] * nth_prime(len(thresholds) + 1) ** k
+                if low < w:
+                    break
+                if len(thresholds) == MAX_LEVELS:
+                    raise BudgetError(
+                        f"growth function reaches more than {MAX_LEVELS} "
+                        f"thresholds W_r by index {count}"
+                    )
+                thresholds.append(w)
+            alive = len(thresholds)
+            start += [1] * (alive - len(start))
+        while alive and low < thresholds[alive - 1]:
+            alive -= 1
+            start[alive] = j + 1
+        if not alive:
+            break
+    l1 = start[0]
+    if l1 > horizon:
         raise BudgetError(
-            f"growth function never reaches {w} on indices up to {horizon}; "
+            f"growth function never reaches {thresholds[0]} on indices up to {horizon}; "
             "it must tend to infinity"
         )
 
-    # activation[r] = first index whose term is forced into -r mod p_r^k
+    # activation[r] = first index whose term is forced into -r mod p_r^k;
+    # each level activates after the one before it
     levels = [(1, l1)]
-    r = 1
-    while levels[-1][1] <= count:
-        r += 1
-        w *= nth_prime(r) ** k
-        j0 = threshold_index(w, levels[-1][1] + 1)
-        if j0 is None:
+    for r in range(2, len(thresholds) + 1):
+        if levels[-1][1] > count:
             break
-        levels.append((r, j0))
+        levels.append((r, max(start[r - 1], levels[-1][1] + 1)))
 
     terms: list[int] = []
     classes = []  # the congruences currently in force
@@ -627,6 +644,24 @@ class OverPSequence:
     induced: tuple[int, ...]
     induced_cap: int
     certification: Certification
+
+    def __repr__(self) -> str:
+        # A depth-2 anchor runs past Python's 4300-digit limit on int-to-str
+        # conversion, so each anchor shows as its bit length and the first 12
+        # hex digits of the sha256 of its big-endian bytes.  hashlib is
+        # imported here, so that start-up does not load OpenSSL.
+        import hashlib
+
+        anchors = ", ".join(
+            f"<{n.bit_length()} bits, sha256 "
+            f"{hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, 'big')).hexdigest()[:12]}>"
+            for n in self.anchors
+        )
+        return (
+            f"OverPSequence(thresholds={self.thresholds!r}, anchors=({anchors}), "
+            f"induced={self.induced!r}, induced_cap={self.induced_cap!r}, "
+            f"certification={self.certification!r})"
+        )
 
 
 def overp_sequence(

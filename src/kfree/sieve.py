@@ -18,17 +18,21 @@ composite d only repeats a prime factor's strikes, so the flags are those of
 every prime up to end**(1/k), while the prime table stops at the cut.
 The count Q_k(x) of k-free integers up to x
 is not a sweep over [1, x]: it is the Moebius sum
-Q_k(x) = sum_{d <= x^(1/k)} mu(d) * floor(x / d^k), which costs
-O(x^(1/k) log log x) time, with mu(d) sieved block by block from the primes
-up to x^(1/(2k)).
+Q_k(x) = sum_d mu(d) * floor(x / d^k), split at D, about x^(2/5) for k = 2.
+The d <= D are summed directly, with mu(d) sieved block by block from the
+primes up to sqrt(D); the d > D are summed through Mertens values M(y),
+computed from the prefix M(0..D) and from each other.  That costs
+O(x^(2/5)) time for k = 2, and the prefix of 4 * (D + 1) bytes is what the
+byte cap limits: Q_2 runs to about 7 * 10^18, Q_3 to about 4 * 10^26.
 """
 
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress, repeat
 from math import gcd, isqrt, log, pi, prod
+from operator import floordiv, mul, sub
 
 from .errors import ResourceError
 
@@ -264,53 +268,132 @@ def kfree_window(start: int, length: int, k: int = 2) -> KFreeWindow:
     return KFreeWindow(start, length, k, bytes(flags))
 
 
-def _mobius_block(lo: int, hi: int, primes) -> list[int]:
-    """mu(d) for lo <= d < hi, striking the primes p with p * p < hi.
+# _mobius_block keeps one state byte per d: 2 * L + parity, where parity
+# counts the struck primes dividing d mod 2, and L starts at
+# 64 - ceil(log2 d) (_START) and adds ceil(log2 p) for each of them; or 255
+# once a struck p^2 divides d.  The added sum stays below 2 * log2 d (see
+# _mobius_block), and the byte cap keeps d far below 2^63, so L < 127.
+_START = [bytes([2 * (64 - t)]) for t in range(64)]
+# The start states of d = 1 .. 2^12, which small counts read in one slice.
+_LOW_START = _START[0] + b"".join(_START[t] * (1 << t - 1) for t in range(1, 13))
+# _STRIKE[c] strikes a prime with ceil(log2 p) = c: state b becomes
+# (b ^ 1) + 2c = (b + 2c) ^ 1, and 255 stays 255.  (The b above 254 - 2c,
+# which would overflow, never occur.)
+_FLIP = bytes(b ^ 1 for b in range(256))
+_STRIKE = [(bytes(range(2 * c, 255)) + bytes(2 * c)).translate(_FLIP) + b"\xff" for c in range(64)]
+# _READ turns a state into the byte of mu(d): 1, 255 for -1, and 0 for a d
+# that is not squarefree.  L < 64 marks the one prime factor above the
+# struck primes, which flips the sign.
+_READ = bytes(0 if b == 255 else 255 if (b & 1) ^ (b >> 1 < 64) else 1 for b in range(256))
+# From mu bytes to the flags of mu(d) = 1 and of mu(d) = -1.
+_PLUS = bytes.maketrans(b"\xff", b"\x00")
+_MINUS = bytes.maketrans(b"\x01\xff", b"\x00\x01")
 
-    Each entry starts as 1; a struck prime negates it and multiplies it by p,
-    and a struck square sets it to 0.  A squarefree d whose entry is not +-d
-    then has exactly one prime factor left, above sqrt(d), which flips mu.
+
+def _mobius_block(lo: int, hi: int, primes) -> array:
+    """mu(d) for lo <= d < hi, as an array("b"), striking the primes p with
+    p * p < hi.
+
+    Each stroke translates one slice through a 256-byte table, so no Python
+    code runs per d.  A squarefree d is the product P of the struck primes
+    dividing it, times at most one prime q with q * q >= hi.  Let L be the
+    sum of ceil(log2 p) over those struck p.  Without q, L >= log2 P =
+    log2 d, so L >= ceil(log2 d).  With q, P = d / q < q, the struck primes
+    number at most log2 P, and L < 2 * log2 P <= log2 P + log2 q = log2 d
+    (or L = 0 < log2 q when P = 1).  So q divides d exactly when
+    L < ceil(log2 d).
     """
     n = hi - lo
-    signed = [1] * n
+    state = bytearray(_LOW_START[lo - 1 : hi - 1])
+    d = max(lo, len(_LOW_START) + 1)
+    while d < hi:
+        # the d in (2^(t-1), 2^t] share t = ceil(log2 d)
+        t = (d - 1).bit_length()
+        end = min(hi, (1 << t) + 1)
+        state += _START[t] * (end - d)
+        d = end
     for p in primes:
         q = p * p
         if q >= hi:
             break
         first = -lo % p
-        signed[first::p] = [-v * p for v in signed[first::p]]
+        state[first::p] = state[first::p].translate(_STRIKE[(p - 1).bit_length()])
         first = -lo % q
-        signed[first::q] = [0] * len(range(first, n, q))
-    mu = []
-    for d, v in zip(range(lo, hi), signed):
-        sign = (v > 0) - (v < 0)
-        mu.append(sign if v == d or v == -d else -sign)
-    return mu
+        state[first::q] = b"\xff" * len(range(first, n, q))
+    return array("b", state.translate(_READ))
+
+
+# count_power_free_upto splits its sum at I = x^(1/(2k+1)) // MERTENS_SPLIT_DIVISOR.
+# With I = c * x^(1/(2k+1)), repeated counts took these medians (best of two
+# series, Python 3.11, 2-core host) for c = 1/8, 1/4, 1/2, 1, 2.  k = 2:
+# 1.32, 1.07, 1.07, 1.32, 1.89 ms near 10^8; 42.8, 35.9, 33.1, 33.4, 47.9 ms
+# at 10^12; 1.84, 1.55, 1.33, 1.43, 1.97 s at 10^16.  k = 3: 0.16, 0.15, 0.19,
+# 0.26, 0.39 ms near 1.35 * 10^8; 73, 70, 66, 78, 103 ms at 10^18.
+MERTENS_SPLIT_DIVISOR = 2
 
 
 def count_power_free_upto(x: int, k: int = 2) -> int:
-    """Exact count of k-free integers in [1, x].
+    """Exact count Q_k(x) of k-free integers in [1, x].
 
-    Sums mu(d) * floor(x / d^k) over d <= r = x^(1/k) (the k-th powers of the
-    squarefree d include-exclude the multiples of p^k), in O(r log log r)
-    time.  mu is sieved in blocks of ``MOBIUS_SEGMENT`` consecutive d, which
-    bounds memory to O(MOBIUS_SEGMENT), from the primes up to sqrt(r) given by
-    :func:`primes_upto`.  A sum of more than ``PRIME_TABLE_BYTE_CAP`` terms
-    raises ResourceError before any prime is requested.
+    Q_k(x) = sum_d mu(d) * floor(x / d^k): the k-th powers of the squarefree
+    d include-exclude the multiples of p^k.  Following J. Pawlewicz,
+    "Counting square-free numbers" (2011, arXiv:1107.4890), the sum is split
+    at D = floor((x / I)^(1/k)), with I = x^(1/(2k+1)) // MERTENS_SPLIT_DIVISOR
+    (at least 1):
+
+    * the d <= D are summed directly.  Their mu is sieved by
+      :func:`_mobius_block` in blocks of ``MOBIUS_SEGMENT`` from the primes
+      up to sqrt(D), and also fills the Mertens prefix M(0..D);
+    * the d > D have floor(x / d^k) < I.  They add sum (M(r_m) - M(D)) over
+      the m with r_m = floor((x / m)^(1/k)) > D, which are m = 1 .. x // (D+1)^k.
+
+    Each M(r_m) comes from M(y) = 1 - sum_{j >= 2} M(floor(y / j)).  As
+    floor(r_m / j) = r_(m*j^k), the terms above D are M(r_(m*j^k)), found
+    before M(r_m) by going down in m.  The terms at most D are read from the
+    prefix, one j at a time up to sqrt(y) and then one group of equal
+    quotients at a time.  That takes O(x^(2/5)) time for k = 2, and
+    O(x^(2/(2k+1))) in general.  The prefix takes 4 * (D + 1) bytes, charged
+    against ``PRIME_TABLE_BYTE_CAP`` before any prime is requested.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if k < 2:
         raise ValueError("k must be >= 2")
-    root = integer_kth_root(x, k)
-    _require_bytes(root, f"Moebius sum over d <= {root}")
-    primes = primes_upto(isqrt(root))
+    split = max(1, integer_kth_root(x, 2 * k + 1) // MERTENS_SPLIT_DIVISOR)
+    d_max = integer_kth_root(x // split, k)
+    _require_bytes(4 * (d_max + 1), f"Mertens prefix up to {d_max}")
+    primes = primes_upto(isqrt(d_max))
+    # the m with r_m > d_max; without them the prefix goes unread
+    m_max = x // (d_max + 1) ** k
+    mertens = array("i", [0])
     total = 0
-    for lo in range(1, root + 1, MOBIUS_SEGMENT):
-        hi = min(lo + MOBIUS_SEGMENT, root + 1)
+    for lo in range(1, d_max + 1, MOBIUS_SEGMENT):
+        hi = min(lo + MOBIUS_SEGMENT, d_max + 1)
         mu = _mobius_block(lo, hi, primes)
-        total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
-    return total
+        signs = mu.tobytes()
+        for sign, flag in ((1, _PLUS), (-1, _MINUS)):
+            ds = compress(range(lo, hi), signs.translate(flag))
+            total += sign * sum(map(floordiv, repeat(x), map(pow, ds, repeat(k))))
+        if m_max:
+            mertens.fromlist(list(accumulate(mu, initial=mertens.pop())))
+    if not m_max:
+        return total
+    # above[m] = M(r_m)
+    above = [0] * (m_max + 1)
+    powers = [j**k for j in range(integer_kth_root(m_max, k) + 1)]
+    for m in range(m_max, 0, -1):
+        y = integer_kth_root(x // m, k)
+        # floor(y / j) > d_max, that is m * j^k <= m_max, for 2 <= j < first
+        first = y // (d_max + 1) + 1
+        s = sum(map(above.__getitem__, map(mul, repeat(m), powers[2:first])))
+        # then one j at a time up to sqrt(y), and the j past both in groups:
+        # y // v - y // (v + 1) of them have quotient v
+        root = isqrt(y)
+        s += sum(map(mertens.__getitem__, map(floordiv, repeat(y), range(first, root + 1))))
+        ends = list(map(floordiv, repeat(y), range(1, y // max(first, root + 1) + 2)))
+        s += sum(map(mul, map(sub, ends, ends[1:]), mertens[1 : len(ends)]))
+        above[m] = 1 - s
+    return total + sum(above) - m_max * mertens[d_max]
 
 
 @lru_cache(maxsize=None)

@@ -6,8 +6,8 @@ flat product enumeration over every residue choice.
 """
 
 from functools import lru_cache
-from itertools import product
-from math import log
+from itertools import compress, product
+from math import isqrt, log
 from random import Random
 
 from kfree.errors import BudgetError
@@ -48,6 +48,54 @@ def kfree_by_factorization(n, k=2):
 
 def count_kfree_oracle(x, k=2):
     return sum(1 for n in range(1, x + 1) if kfree_by_factorization(n, k))
+
+
+def kth_root_flat(n, k):
+    """Largest r with r**k <= n, from a float estimate corrected exactly."""
+    r = int(n ** (1 / k))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def _mobius_block_flat(lo, hi, primes):
+    """mu(d) for lo <= d < hi, striking the primes p with p * p < hi.
+
+    Each entry starts as 1; a struck prime negates it and multiplies it by p,
+    and a struck square sets it to 0.  A squarefree d whose entry is not +-d
+    then has exactly one prime factor left, above sqrt(d), which flips mu.
+    """
+    n = hi - lo
+    signed = [1] * n
+    for p in primes:
+        q = p * p
+        if q >= hi:
+            break
+        first = -lo % p
+        signed[first::p] = [-v * p for v in signed[first::p]]
+        first = -lo % q
+        signed[first::q] = [0] * len(range(first, n, q))
+    mu = []
+    for d, v in zip(range(lo, hi), signed):
+        sign = (v > 0) - (v < 0)
+        mu.append(sign if v == d or v == -d else -sign)
+    return mu
+
+
+def mobius_count_flat(x, k=2, segment=1 << 16):
+    """Q_k(x) as the Moebius sum over every d <= x^(1/k):
+    sum mu(d) * floor(x / d^k), with mu sieved in blocks of ``segment``."""
+    root = kth_root_flat(x, k)
+    flags = prime_flags(isqrt(root))
+    primes = list(compress(range(len(flags)), flags))
+    total = 0
+    for lo in range(1, root + 1, segment):
+        hi = min(lo + segment, root + 1)
+        mu = _mobius_block_flat(lo, hi, primes)
+        total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
+    return total
 
 
 def smallest_power_divisor_oracle(n, k=2):

@@ -1,7 +1,9 @@
 import decimal
 import functools
+import hashlib
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +97,29 @@ class TestSlowDensitySequence:
         assert (seq.terms, seq.identity_until, seq.active_from) == expected
         assert len(calls) == len(set(calls))
         assert set(calls) == set(flat_calls)
+
+    def test_threshold_descent_holds_no_value_per_index(self, monkeypatch):
+        # one value per index over 10^5 indices would take megabytes; the few
+        # levels take a few kB
+        monkeypatch.setattr("kfree.constructions.THRESHOLD_HORIZON", 10**5)
+        f = GROWTH_FUNCTIONS["jlogj"]
+        expected = property_p_sequence(f, 100)
+        tracemalloc.start()
+        try:
+            assert property_p_sequence(f, 100) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50_000
+
+    def test_level_count_is_capped(self, monkeypatch):
+        # an f that returns inf reaches every threshold: count + 1 levels
+        monkeypatch.setattr("kfree.constructions.MAX_LEVELS", 6)
+        seq = property_p_sequence(lambda j: math.inf, 5)
+        assert (seq.terms, seq.identity_until, seq.active_from) == property_p_flat(lambda j: math.inf, 5)
+        assert len(seq.active_from) == 5
+        with pytest.raises(BudgetError, match="more than 6 thresholds"):
+            property_p_sequence(lambda j: math.inf, 6)
 
     def test_explosive_growth_stacks_many_congruences(self, monkeypatch):
         monkeypatch.setattr("kfree.constructions.THRESHOLD_HORIZON", 12)
@@ -621,6 +646,21 @@ class TestOverPSequence:
                         result.anchors, cap, k, result.certification.prime_cutoff
                     )
                     assert result.induced == expected, (scale, depth, cap)
+
+    def test_repr_shows_anchor_bits_and_hash(self):
+        # both second anchors have more than 4300 decimal digits, past the
+        # limit of int-to-str conversion
+        for result, bits in ((overp_sequence(4, 2), (154, 18442)), (overp_sequence(3, 2, 3), (161, 20559))):
+            assert tuple(n.bit_length() for n in result.anchors) == bits
+            text = repr(result)
+            for n in result.anchors:
+                digest = hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).hexdigest()
+                assert f"<{n.bit_length()} bits, sha256 {digest[:12]}>" in text
+            assert text.startswith(f"OverPSequence(thresholds={result.thresholds!r}, anchors=(<")
+            assert text.endswith(
+                f", induced={result.induced!r}, induced_cap={result.induced_cap!r}, "
+                f"certification={result.certification!r})"
+            )
 
     def test_strikes_primes_with_reach_between_half_cap_and_cap(self):
         # at scale 17 the anchor is -138 mod 409^2 and reach(409) = 127: the

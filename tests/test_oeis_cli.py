@@ -25,6 +25,8 @@ from kfree.oeis import (
 )
 from kfree.sieve import kfree_window
 
+from oracles import mobius_count_flat
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "figure_shift_30.csv")
 TABLE_1000 = os.path.join(os.path.dirname(__file__), "..", "tools", "admissible_max_1000.csv")
 
@@ -319,6 +321,14 @@ def test_non_integer_count_input_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["sieve-count", "--x", "abc"])
     assert info.value.code == 2
+
+
+def test_sieve_count_within_byte_cap_past_sqrt_x(monkeypatch, capsys):
+    # sqrt(1.2 * 10^8) = 10954 > 10^4, while the Mertens prefix up to
+    # D = 2449 takes 9800 bytes
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+    code, text = run_cli(["sieve-count", "--x", str(12 * 10**7)])
+    assert (code, text, capsys.readouterr().err) == (0, f"{mobius_count_flat(12 * 10**7)}\n", "")
 
 
 def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):

@@ -1,9 +1,11 @@
+import gc
 import random
 
 import pytest
 
 from kfree.errors import ResourceError
 from kfree.sieve import (
+    MERTENS_SPLIT_DIVISOR,
     ResidueClass,
     build_prime_table,
     count_class_in_interval,
@@ -20,6 +22,7 @@ from oracles import (
     count_kfree_oracle,
     crt_scan,
     kfree_by_factorization,
+    mobius_count_flat,
     trial_division_primes,
 )
 
@@ -208,10 +211,12 @@ def test_count_class_never_exceeds_density_bound():
         )
 
 
-# Published squarefree counts Q_2(10^n), n = 0..12 (OEIS A071172).
+# Published squarefree counts Q_2(10^n), n = 0..15 (OEIS A071172); n = 13..15
+# were also computed once by the plain Moebius sum over every d <= sqrt(x).
 SQUAREFREE_POWERS_OF_TEN = [
     1, 7, 61, 608, 6083, 60794, 607926, 6079291, 60792694, 607927124,
-    6079270942, 60792710280, 607927102274,
+    6079270942, 60792710280, 607927102274, 6079271018294, 60792710185947,
+    607927101854103,
 ]
 
 # Cubefree counts Q_3(10^n), n = 0..8, from a full segmented window sieve.
@@ -219,7 +224,7 @@ CUBEFREE_POWERS_OF_TEN = [1, 9, 85, 833, 8319, 83190, 831910, 8319081, 83190727]
 
 
 def test_count_squarefree_powers_of_ten():
-    assert [count_power_free_upto(10**n) for n in range(13)] == SQUAREFREE_POWERS_OF_TEN
+    assert [count_power_free_upto(10**n) for n in range(len(SQUAREFREE_POWERS_OF_TEN))] == SQUAREFREE_POWERS_OF_TEN
 
 
 def test_count_cubefree_powers_of_ten():
@@ -235,6 +240,59 @@ def test_count_matches_window_sieve_random(monkeypatch):
         for segment in (1, 7, rng.randrange(2, 2000)):
             monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", segment)
             assert count_power_free_upto(x, k) == expected, (x, k, segment)
+
+
+def test_count_matches_mobius_sum_below_10_4():
+    for k in (2, 3, 4):
+        for x in range(10**4):
+            assert count_power_free_upto(x, k) == mobius_count_flat(x, k), (x, k)
+
+
+def test_count_matches_mobius_sum_random():
+    rng = random.Random(20261019)
+    cases = [(rng.randrange(10 ** rng.randrange(5, 11)), rng.choice((2, 3, 4))) for _ in range(60)]
+    # only a few above 10^10, where the flat sum takes up to 0.6 s
+    cases += [(rng.randrange(10**10, 10**12), k) for k in (2, 2, 3)]
+    for x, k in cases:
+        assert count_power_free_upto(x, k) == mobius_count_flat(x, k), (x, k)
+
+
+def test_count_segments_match_mobius_sum(monkeypatch):
+    rng = random.Random(20261020)
+    for segment in (1, 7, rng.randrange(2, 5000)):
+        monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", segment)
+        for _ in range(10):
+            x = rng.randrange(10 ** rng.randrange(2, 10))
+            k = rng.choice((2, 3, 4))
+            assert count_power_free_upto(x, k) == mobius_count_flat(x, k), (x, k, segment)
+
+
+def test_count_charges_only_the_mertens_prefix(monkeypatch):
+    # sqrt(x) = 10954 > 10^4, while the prefix M(0..D) takes
+    # 4 * (D + 1) = 9800 bytes
+    x = 12 * 10**7
+    d_max = integer_kth_root(x // (integer_kth_root(x, 5) // MERTENS_SPLIT_DIVISOR), 2)
+    assert integer_kth_root(x, 2) > 10**4 >= 4 * (d_max + 1) == 9800
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+    assert count_power_free_upto(x) == mobius_count_flat(x)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 4 * (d_max + 1))
+    assert count_power_free_upto(x) == mobius_count_flat(x)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 4 * (d_max + 1) - 1)
+    with pytest.raises(ResourceError, match=f"Mertens prefix up to {d_max} "):
+        count_power_free_upto(x)
+
+
+def test_count_leaves_no_cyclic_garbage():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        count_power_free_upto(10**8, 2)
+        count_power_free_upto(10**8, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_count_validates_before_any_work(monkeypatch):
