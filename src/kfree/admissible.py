@@ -21,6 +21,15 @@ and a child's least hit for the next prime comes from its parent's class
 hits less the survivors the child struck.  Neither changes the bound's
 value, so neither changes the search.
 
+Before that bound, a child is tested against a free floor under it.  A
+class c mod q = p^k and a class mod r^k of the next prime r together form
+one class mod (pr)^k, which has at most ceil(x / (q r^k)) members in
+[1, x].  So striking c lowers each class hit of r by at most that much, and
+the child's least hit for r is at least the parent's least hit less it.
+The exact bound is never below this floor, so every child the floor prunes
+the exact bound prunes too: nodes, leaves, witness and deadline checks are
+those of the exact bound alone, and only bound calls are saved.
+
 The maximum is bracketed by ``admissible_max_lower_shift``, the best of many
 shifted windows, counted from one struck window per run of nearby shifts,
 and by ``admissible_max_upper_sieve``, the large sieve.
@@ -133,6 +142,12 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
     the optimum: a leaf worth it is optimal and, being the first kept at that
     value, is that same leaf, so stopping there leaves value, witness and
     EXACT status unchanged.  The deadline is checked only once a leaf is kept.
+
+    A child is pruned when its survivors less a loss bound cannot beat the
+    incumbent: first the free loss floor (the parent's least hit for the
+    next prime less ceil(x / (q r^k))), then the exact bound
+    ``_forced_loss``.  The floor never exceeds the exact bound, so it only
+    skips bound calls and prunes nothing the exact bound keeps.
     """
     if x < 1:
         raise ValueError("x must be >= 1")
@@ -174,10 +189,20 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
             # could prune nothing and is not computed
             if best_value >= 0 and idx < last:
                 if hits is None:
-                    hits = [(survivors & mask).bit_count() for mask in masks[primes[idx + 1]]]
+                    r_masks = masks[primes[idx + 1]]
+                    hits = [(survivors & mask).bit_count() for mask in r_masks]
                     least = min(hits)
+                    floor_loss = least - _class_overlap(x, q, len(r_masks))
+                kept = alive - struck.bit_count()
+                # the free floor: class c mod q and a class mod r^k form one
+                # class mod (pr)^k, with at most ceil(x / (q r^k)) members in
+                # [1, x], so striking c lowers no class hit of the next prime
+                # r by more than that; the exact bound below is at least the
+                # floor, so it would prune this child too
+                if kept - floor_loss <= best_value:
+                    continue
                 loss = _forced_loss(child, primes[idx + 2 :], masks, _least_hit_after(hits, least, struck))
-                if alive - struck.bit_count() - loss <= best_value:
+                if kept - loss <= best_value:
                     continue
             chosen[p] = c
             descend(idx + 1, child, chosen)
@@ -187,6 +212,12 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
 
     descend(0, (1 << x) - 1, {})
     return AdmissibleMaxResult(x, k, best_value, best_leaf, EXACT if exhausted else LOWER_BOUND)
+
+
+def _class_overlap(x: int, q: int, s: int) -> int:
+    """The most members of [1, x] that a class mod q and a class mod s can
+    share, for coprime q and s: together they are one class mod q s."""
+    return -(-x // (q * s))
 
 
 def _least_hit_after(hits: list[int], least: int, struck: int) -> int:

@@ -10,14 +10,13 @@ explicit rule in a checked-in manifest.
 """
 
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from importlib import resources
 
 from .admissible import admissible_max_exact, check_time_budget
 from .errors import BudgetError
 from .properties import named_sequence_term
-from .sieve import count_power_free_upto
+from .sieve import count_power_free_upto, kfree_window
 
 CACHE_ENV = "KFREE_OEIS_CACHE"
 
@@ -134,14 +133,14 @@ def load_manifest(path: str | None = None) -> dict[str, ManifestRule]:
 
 
 def _nth_squarefree(n: int) -> int:
-    """n-th squarefree number: the least x with count_power_free_upto(x) >= n.
+    """n-th squarefree number: the n-th member of one sieved window [1, 2n].
 
-    It lies in [n, 2n]: at most sum_p floor(2n / p^2) <= 0.46 * 2n integers
-    up to 2n are divisible by a prime square, so at least n are squarefree.
+    At most sum_p floor(2n / p^2) <= 0.46 * 2n integers up to 2n are
+    divisible by a prime square, so at least n members lie in the window.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    return bisect_left(range(2 * n + 1), n, lo=n, key=count_power_free_upto)
+    return kfree_window(1, 2 * n).members()[n - 1]
 
 
 def computed_value(rule: ManifestRule, index: int, time_budget: float | None = None):

@@ -5,6 +5,7 @@ plain trial division, counting is per-integer, and the window maximum is a
 flat product enumeration over every residue choice.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress, product
 from math import isqrt, log
@@ -96,6 +97,13 @@ def mobius_count_flat(x, k=2, segment=1 << 16):
         mu = _mobius_block_flat(lo, hi, primes)
         total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
     return total
+
+
+def nth_squarefree_bisect(n):
+    """n-th squarefree number: the least x with mobius_count_flat(x) >= n,
+    bisected over [n, 2n], which holds it since at most 0.46 * 2n integers
+    up to 2n are divisible by a prime square."""
+    return bisect_left(range(2 * n + 1), n, lo=n, key=mobius_count_flat)
 
 
 def smallest_power_divisor_oracle(n, k=2):

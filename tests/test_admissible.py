@@ -6,6 +6,7 @@ import pytest
 from kfree import admissible, sieve
 from kfree.admissible import (
     _class_masks,
+    _class_overlap,
     _constraining_primes,
     _forced_loss,
     _least_hit_after,
@@ -257,6 +258,53 @@ class TestForcedLoss:
             hits = [(survivors & mask).bit_count() for mask in per_class]
             recount = min((survivors & ~struck & mask).bit_count() for mask in per_class)
             assert _least_hit_after(hits, min(hits), struck) == recount, (x, trial)
+
+
+class TestLossFloor:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_loss_floor_is_below_the_recount_and_the_exact_bound(self, k):
+        # for every class c of a prime p and r the next prime: the parent's
+        # least hit for r less the pair overlap <= r's least hit once c is
+        # struck <= the forced loss of the primes from r on
+        rng = random.Random(300 + k)
+        checked = 0
+        for trial in range(120):
+            x = rng.randrange(2 * 3**k, 301)
+            primes = _constraining_primes(x, k)
+            masks = _class_masks(x, k, primes)
+            idx = rng.randrange(len(primes) - 1)
+            p, r = primes[idx], primes[idx + 1]
+            density = (1.0, rng.random())[trial % 2]
+            survivors = sum(1 << (a - 1) for a in range(1, x + 1) if rng.random() < density)
+            least = min((survivors & mask).bit_count() for mask in masks[r])
+            floor_loss = least - _class_overlap(x, p**k, r**k)
+            for mask in masks[p]:
+                child = survivors & ~mask
+                recount = min((child & r_mask).bit_count() for r_mask in masks[r])
+                assert floor_loss <= recount <= forced_loss_flat(child, primes[idx + 1 :], masks), (x, p)
+                checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("x, k", [(121, 2), (168, 2), (300, 2), (700, 2), (200, 3)])
+    def test_floor_skips_bound_calls_only(self, monkeypatch, x, k):
+        # a clock that ticks once a read counts the nodes after the first
+        # leaf; an overlap of x + 1 makes the floor negative, so it prunes
+        # nothing and every child goes to the exact bound
+        real = admissible._forced_loss
+
+        def run(overlap):
+            ticks = iter(range(10**9))
+            monkeypatch.setattr(admissible, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+            monkeypatch.setattr(admissible, "_class_overlap", overlap)
+            calls = []
+            monkeypatch.setattr(admissible, "_forced_loss", lambda *args: calls.append(1) or real(*args))
+            result = admissible_max_exact(x, k, 10.0**8)
+            return repr(result), next(ticks), len(calls)
+
+        with_floor = run(_class_overlap)
+        without = run(lambda x, q, s: x + 1)
+        assert with_floor[:2] == without[:2]
+        assert with_floor[2] < without[2]
 
 
 class TestLowerShift:

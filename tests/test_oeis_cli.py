@@ -23,12 +23,11 @@ from kfree.oeis import (
     parse_oeis_bfile,
     _nth_squarefree,
 )
-from kfree.sieve import kfree_window
 
-from oracles import mobius_count_flat
+from oracles import mobius_count_flat, nth_squarefree_bisect
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "figure_shift_30.csv")
-TABLE_1000 = os.path.join(os.path.dirname(__file__), "..", "tools", "admissible_max_1000.csv")
+TABLE_1400 = os.path.join(os.path.dirname(__file__), "..", "tools", "admissible_max_1400.csv")
 
 ALL_IDS = ["A013928", "A083544", "A000051", "A000225", "A038507", "A033312"]
 
@@ -131,20 +130,20 @@ class TestFigureData:
         assert produced == golden
 
     def test_committed_table_starts_with_the_cli_rows(self):
-        # tools/admissible_max_1000.csv is `admissible-max --table --x 1000
+        # tools/admissible_max_1400.csv is `admissible-max --table --x 1400
         # --bounds`; its first rows must be what the CLI prints today
-        with open(TABLE_1000, encoding="ascii") as handle:
+        with open(TABLE_1400, encoding="ascii") as handle:
             committed = handle.read().splitlines()
-        assert len(committed) == 1001
+        assert len(committed) == 1401
         code, text = run_cli(["admissible-max", "--table", "--x", "60", "--bounds"])
         assert code == 0
         assert text.splitlines() == committed[:61]
 
     def test_committed_table_bounds_match_the_library(self):
         # every row's bracket, not only the first 61 rows the CLI test runs
-        with open(TABLE_1000, encoding="ascii") as handle:
+        with open(TABLE_1400, encoding="ascii") as handle:
             rows = list(csv.DictReader(handle))
-        assert [int(row["x"]) for row in rows] == list(range(1, 1001))
+        assert [int(row["x"]) for row in rows] == list(range(1, 1401))
         for row in rows:
             x = int(row["x"])
             assert int(row["lower_shift"]) == admissible_max_lower_shift(x, shifts=range(2000))[0], x
@@ -296,9 +295,8 @@ class TestCli:
         assert '"value": 8' in text
 
 
-def test_nth_squarefree_matches_window_sieve():
-    members = kfree_window(1, 5000).members()
-    assert [_nth_squarefree(n) for n in range(1, len(members) + 1)] == members
+def test_nth_squarefree_matches_the_bisected_count():
+    assert [_nth_squarefree(n) for n in range(1, 3001)] == [nth_squarefree_bisect(n) for n in range(1, 3001)]
 
 
 @pytest.mark.parametrize(

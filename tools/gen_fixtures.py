@@ -14,29 +14,29 @@ from math import factorial
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from kfree.admissible import admissible_max_sweep
+from kfree.oeis import BFile, emit_bfile
 from kfree.sieve import count_power_free_upto, kfree_window
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "kfree", "data", "oeis")
 
 
-def write(name, pairs):
-    path = os.path.join(OUT, name)
+def write(sequence_id, pairs):
+    path = os.path.join(OUT, f"b{sequence_id.lstrip('A')}.txt")
     with open(path, "w", encoding="ascii") as handle:
-        for index, value in pairs:
-            handle.write(f"{index} {value}\n")
+        handle.write(emit_bfile(BFile(sequence_id, dict(pairs))))
     print(f"wrote {path} ({len(pairs)} entries)")
 
 
 def main():
     os.makedirs(OUT, exist_ok=True)
     squarefree = kfree_window(1, 400).members()
-    write("b005117.txt", [(i + 1, v) for i, v in enumerate(squarefree[:100])])
-    write("b013928.txt", [(n, count_power_free_upto(n - 1)) for n in range(1, 201)])
-    write("b083544.txt", [(result.x, result.value) for result in admissible_max_sweep(60)])
-    write("b000051.txt", [(n, 2**n + 1) for n in range(0, 31)])
-    write("b000225.txt", [(n, 2**n - 1) for n in range(0, 31)])
-    write("b038507.txt", [(n, factorial(n) + 1) for n in range(0, 26)])
-    write("b033312.txt", [(n, factorial(n) - 1) for n in range(1, 26)])
+    write("A005117", [(i + 1, v) for i, v in enumerate(squarefree[:100])])
+    write("A013928", [(n, count_power_free_upto(n - 1)) for n in range(1, 201)])
+    write("A083544", [(result.x, result.value) for result in admissible_max_sweep(60)])
+    write("A000051", [(n, 2**n + 1) for n in range(0, 31)])
+    write("A000225", [(n, 2**n - 1) for n in range(0, 31)])
+    write("A038507", [(n, factorial(n) + 1) for n in range(0, 26)])
+    write("A033312", [(n, factorial(n) - 1) for n in range(1, 26)])
 
 
 if __name__ == "__main__":
