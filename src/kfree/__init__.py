@@ -17,7 +17,6 @@ from .constructions import (
     dense_q_step,
     greedy_squarefree_sums,
     membership_probability,
-    occupancy_probe,
     overp_base_point,
     overp_sequence,
     property_p_sequence,
@@ -38,8 +37,6 @@ from .oeis import BFile, crosscheck, load_bfile, load_manifest, parse_oeis_bfile
 from .properties import (
     AvoidanceCertificate,
     Certification,
-    FiniteSet,
-    NotAdmissible,
     NoWitness,
     SumViolation,
     WitnessReport,
@@ -57,7 +54,6 @@ from .sieve import (
     PrimeTable,
     ResidueClass,
     build_prime_table,
-    count_class_in_interval,
     count_power_free_upto,
     crt_combine,
     density_main_term,

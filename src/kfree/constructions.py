@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from itertools import compress
 from math import ceil, exp, log, prod
 
-from .errors import BudgetError, NotAdmissibleError
+from .errors import BudgetError
 from .properties import (
     Certification,
     NoWitness,
-    NotAdmissible,
     WitnessReport,
     _first_good,
     _witness_scan,
@@ -43,7 +42,6 @@ from .sieve import (
 GROWTH_FUNCTIONS = {
     "identity": lambda j: j,
     "half": lambda j: max(1, j // 2),
-    "times10": lambda j: 10 * j,
     "jlogj": lambda j: j * max(1, ceil(log(max(j, 2)))),
 }
 
@@ -261,8 +259,6 @@ def suff_witness_search(
         cert = admissibility_certificate(
             elements, k, prime_bound=max(w_primes[-1], floor_bound, 2)
         )
-        if isinstance(cert, NotAdmissible):
-            raise NotAdmissibleError(cert.prime)
         merged = crt_combine([cert.avoided(p) for p in w_primes])
         modulus = merged.modulus
         target = -merged.residue % modulus  # n = -b (mod W)
@@ -308,13 +304,6 @@ class DenseQState:
         if n1 < 2:
             raise ValueError("initial anchor must be >= 2")
         return cls(k=k, anchors=[n1])
-
-    def accumulated_set(self) -> tuple[int, ...]:
-        merged: list[int] = []
-        for piece in self.slices:
-            if piece:
-                merged.extend(piece)
-        return tuple(merged)
 
 
 def _both_kfree(lo: int, length: int, anchor: int, k: int) -> bytearray:
@@ -526,21 +515,6 @@ def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[
     return tuple(chosen)
 
 
-def occupancy_probe(values, x: int, k: int = 2) -> dict[int, tuple[int, ...]]:
-    """For each prime p <= ln x, the nonzero classes mod p^k that A cap [x]
-    leaves unoccupied (an empty tuple flags full occupancy, the obstruction
-    that forces any surviving shift to be divisible by the whole primorial
-    power)."""
-    elements = [a for a in as_elements(values) if a <= x]
-    probe = {}
-    limit = int(log(x)) if x >= 2 else 0
-    for p in primes_upto(limit):
-        q = p**k
-        occupied = {a % q for a in elements}
-        probe[p] = tuple(r for r in range(1, q) if r not in occupied)
-    return probe
-
-
 # --- base points congruent to zero modulo a full primorial power ----------------
 
 
@@ -553,6 +527,9 @@ def _loglog_range(p: int) -> int:
 # its largest ratio to q is 4.4, at reach(5) = 22, and it is below q once
 # q > e^e, where lnln q > 1.
 _REACH_FACTOR = 5
+
+# Largest primorial power, in bits, that overp_base_point will build.
+PRIMORIAL_BIT_BUDGET = 1 << 20
 
 
 def overp_base_point(
@@ -575,6 +552,8 @@ def overp_base_point(
     at the first q^k > n + reach(q).  ``verify_prime_cap`` limits the checked
     q for astronomically large n; left as None, the full forced range is
     verified or a BudgetError raised if that range is itself out of reach.
+    A primorial power over PRIMORIAL_BIT_BUDGET bits raises BudgetError
+    before any prime is requested.
     """
     if p_threshold < 3:
         raise ValueError("prime threshold must be >= 3")
@@ -582,6 +561,12 @@ def overp_base_point(
         raise ValueError("k must be >= 2")
     if max_candidates < 1:
         raise ValueError("max_candidates must be >= 1")
+    # theta(P) ~ P, so the primorial power needs about 1.45 * k * P bits
+    if 1.45 * k * p_threshold > PRIMORIAL_BIT_BUDGET:
+        raise BudgetError(
+            f"primorial power at threshold {p_threshold} needs roughly "
+            f"{int(1.45 * k * p_threshold)} bits, over the {PRIMORIAL_BIT_BUDGET}-bit budget"
+        )
     small = primes_upto(p_threshold)
     modulus = 1
     for p in small:
@@ -598,8 +583,8 @@ def overp_base_point(
             top = min(top, verify_prime_cap)
         elif top > 10_000_000:
             raise BudgetError(
-                f"full verification would need primes up to {top}; "
-                "pass verify_prime_cap to accept a partial certification"
+                f"full verification would need primes up to a {top.bit_length()}-bit bound, "
+                "past 10^7; pass verify_prime_cap to accept a partial certification"
             )
         primes = primes_upto(top)
         for g in range(bisect_right(primes, p_threshold), len(primes), RESIDUE_GROUP):
@@ -629,9 +614,6 @@ def overp_base_point(
         f"{max_candidates} candidates"
     )
 
-
-# Largest primorial power, in bits, that overp_sequence will build.
-PRIMORIAL_BIT_BUDGET = 1 << 20
 
 # Largest prime overp_sequence checks, for its base points and induced set.
 OVERP_VERIFY_PRIME_CAP = 100_000
@@ -681,8 +663,8 @@ def overp_sequence(
     and for a larger q with reach(q) >= induced_cap, the base point search
     has already kept q^k off n_j + 1, ..., n_j + reach(q).
 
-    The doubly exponential thresholds explode fast: a depth whose primorial
-    power exceeds the bit budget is refused rather than approximated.
+    The doubly exponential thresholds explode fast: the base point search
+    refuses a primorial power over the bit budget rather than approximating.
     """
     if scale < 3:
         raise ValueError("scale must be >= 3")
@@ -693,14 +675,7 @@ def overp_sequence(
         inner = exp(j)
         if inner > 700:  # e^inner overflows doubles long after any sane budget
             raise BudgetError(f"threshold at depth {j} is astronomically large")
-        t = ceil(scale * exp(inner))
-        # theta(P) ~ P, so the primorial power needs about 1.45 * k * P bits
-        if 1.45 * k * t > PRIMORIAL_BIT_BUDGET:
-            raise BudgetError(
-                f"primorial power at threshold {t} needs roughly "
-                f"{int(1.45 * k * t)} bits, over the {PRIMORIAL_BIT_BUDGET}-bit budget"
-            )
-        thresholds.append(t)
+        thresholds.append(ceil(scale * exp(inner)))
     thresholds = tuple(thresholds)
     anchors = []
     previous = 0

@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from math import factorial
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import KfreeError, NotAdmissibleError
 from .sieve import (
@@ -32,38 +32,12 @@ FULL = "FULL"
 PI_CERTIFIED = "PI_CERTIFIED"
 
 
-@dataclass(frozen=True)
-class FiniteSet:
-    """A finite set of naturals >= 1, stored strictly increasing."""
-
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        for i, a in enumerate(self.elements):
-            if a < 1:
-                raise ValueError("elements must be >= 1")
-            if i and a <= self.elements[i - 1]:
-                raise ValueError("elements must be strictly increasing")
-
-    @classmethod
-    def of(cls, values: Iterable[int]) -> "FiniteSet":
-        return cls(tuple(sorted(set(values))))
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, n) -> bool:
-        return n in self.elements
-
-
 def as_elements(values) -> tuple[int, ...]:
-    """Normalize a FiniteSet or iterable into a validated increasing tuple."""
-    if isinstance(values, FiniteSet):
-        return values.elements
-    return FiniteSet.of(values).elements
+    """The distinct values of an iterable of naturals >= 1, increasing."""
+    elements = tuple(sorted(set(values)))
+    if elements and elements[0] < 1:
+        raise ValueError("elements must be >= 1")
+    return elements
 
 
 @dataclass(frozen=True)
@@ -129,13 +103,6 @@ class NoWitness:
 
 
 @dataclass(frozen=True)
-class NotAdmissible:
-    """Marker result: every class mod prime^k is occupied."""
-
-    prime: int
-
-
-@dataclass(frozen=True)
 class AvoidanceCertificate:
     """Explicit avoided residue class per small prime, pigeonhole for the rest.
 
@@ -154,14 +121,14 @@ class AvoidanceCertificate:
 
 def admissibility_certificate(
     values, k: int = 2, prime_bound: int | None = None
-) -> AvoidanceCertificate | NotAdmissible:
+) -> AvoidanceCertificate:
     """Decide admissibility of a finite set and produce explicit certificates.
 
     Only primes with p^k <= |A| can have every class occupied, so checking
     those decides admissibility; explicit smallest-avoided classes are
     recorded for every prime up to ``prime_bound`` (default: the smallest
     bound covering all decidable primes), and larger primes avoid a class by
-    pigeonhole.  Returns NotAdmissible(p) for the smallest fully occupied p.
+    pigeonhole.  Raises NotAdmissibleError(p) for the smallest fully occupied p.
     """
     elements = as_elements(values)
     if k < 2:
@@ -178,7 +145,7 @@ def admissibility_certificate(
         q = p**k
         occupied = {a % q for a in elements}
         if len(occupied) == q:
-            return NotAdmissible(p)
+            raise NotAdmissibleError(p)
         # the least free class, in at most |occupied| + 1 probes
         explicit[p] = ResidueClass(next(b for b in range(q) if b not in occupied), q)
     note = (
@@ -374,9 +341,7 @@ def check_q_prefix(seq, j: int, strategy: str = "PLAIN_SCAN", k: int = 2) -> Wit
     prefix = terms[: j - 1]
     a_prev, a_j = terms[j - 2], terms[j - 1]
 
-    cert = admissibility_certificate(prefix, k)
-    if isinstance(cert, NotAdmissible):
-        raise NotAdmissibleError(cert.prime)
+    admissibility_certificate(prefix, k)  # raises NotAdmissibleError if blocked
 
     lo, hi = (a_prev + 1, a_j - 1) if strategy == "PLAIN_SCAN" else ((a_j + 1) // 2, a_j)
     return find_translate_witness(prefix, lo, hi, k)

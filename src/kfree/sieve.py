@@ -453,20 +453,3 @@ def crt_combine(classes) -> ResidueClass:
         modulus *= cls.modulus
     return ResidueClass(residue % modulus, modulus)
 
-
-def count_class_in_interval(lo: int, hi: int, classes) -> int:
-    """How many integers in [lo, hi] lie in every listed residue class.
-
-    The classes must have pairwise coprime moduli; an empty list counts the
-    whole interval.  Always at most floor(len/M) + 1 with M the modulus product.
-    """
-    if lo > hi + 1:
-        raise ValueError(f"invalid interval [{lo}, {hi}]")
-    if lo == hi + 1:
-        return 0
-    classes = list(classes)
-    if not classes:
-        return hi - lo + 1
-    merged = crt_combine(classes)
-    b, m = merged.residue, merged.modulus
-    return (hi - b) // m - (lo - 1 - b) // m

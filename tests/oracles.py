@@ -350,8 +350,8 @@ def overp_base_point_flat(p_threshold, k=2, max_candidates=1_000_000, verify_pri
             top = min(top, verify_prime_cap)
         elif top > 10_000_000:
             raise BudgetError(
-                f"full verification would need primes up to {top}; "
-                "pass verify_prime_cap to accept a partial certification"
+                f"full verification would need primes up to a {top.bit_length()}-bit bound, "
+                "past 10^7; pass verify_prime_cap to accept a partial certification"
             )
         flags = prime_flags(top)
         for q in range(p_threshold + 1, top + 1):

@@ -15,7 +15,6 @@ from kfree.constructions import (
     dense_q_step,
     greedy_squarefree_sums,
     membership_probability,
-    occupancy_probe,
     overp_base_point,
     overp_sequence,
     property_p_sequence,
@@ -65,7 +64,7 @@ class TestSlowDensitySequence:
         assert property_p_sequence(GROWTH_FUNCTIONS["identity"], 0).terms == ()
 
     def test_faster_growth_activates_sooner(self):
-        seq = property_p_sequence(GROWTH_FUNCTIONS["times10"], 50)
+        seq = property_p_sequence(resolve_growth("times10"), 50)
         # W_1 = 4 is reached immediately, W_2 = 36 at j = 4
         assert seq.identity_until == 1
         assert seq.terms[0] == 1
@@ -73,7 +72,7 @@ class TestSlowDensitySequence:
 
     @pytest.mark.parametrize(
         "growth",
-        sorted(GROWTH_FUNCTIONS) + ["times3", "non-monotone"],
+        sorted(GROWTH_FUNCTIONS) + ["times3", "times10", "non-monotone"],
     )
     @pytest.mark.parametrize("count", [0, 1, 500, 12000])
     def test_matches_flat_scan_and_calls_growth_once_per_index(self, growth, count):
@@ -326,12 +325,10 @@ class TestDenseAnchors:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             dense_q_step(DenseQState.start(2), epsilon, 10**4)
 
-    def test_accumulated_set_concatenates_slices(self):
+    def test_first_slice_lies_between_the_anchors(self):
         state = DenseQState.start(2)
         dense_q_step(state, 0.5, 10**4)
-        acc = state.accumulated_set()
-        assert acc == state.slices[0]
-        assert all(2 < a <= state.anchors[-1] for a in acc)
+        assert all(2 < a <= state.anchors[-1] for a in state.slices[0])
 
 
 class TestDenseStepAgainstTrialDivision:
@@ -493,24 +490,6 @@ class TestRejectBound:
             assert _reject_bound(n0, 10**6) > 2**64 - 1
 
 
-class TestOccupancyProbe:
-    def test_squarefree_up_to_100_fills_everything(self):
-        sf = kfree_window(1, 100).members()
-        probe = occupancy_probe(sf, 100)
-        assert set(probe) == {2, 3}
-        assert probe[2] == () and probe[3] == ()
-
-    def test_singleton(self):
-        probe = occupancy_probe([3], 100)
-        assert probe[2] == (1, 2)
-        assert probe[3] == (1, 2, 4, 5, 6, 7, 8)
-
-    def test_empty(self):
-        probe = occupancy_probe([], 100)
-        assert probe[2] == (1, 2, 3)
-        assert len(probe[3]) == 8
-
-
 class TestOverPBasePoints:
     def test_p3_base_point(self):
         assert overp_base_point(3) == 252
@@ -547,6 +526,22 @@ class TestOverPBasePoints:
                 break
             for a in range(1, reach + 1):
                 assert (n + a) % (q * q) != 0, (q, a)
+
+    def test_unverifiable_range_raises_a_short_budget_error(self):
+        # the first multiple at P = 12000 has about 34000 bits: its kth root
+        # runs past Python's 4300-digit limit on int-to-str conversion, so
+        # the message names the root's bit length
+        with pytest.raises(BudgetError, match="up to a 17083-bit bound, past 10\\^7") as info:
+            overp_base_point(12000)
+        assert len(str(info.value)) < 200
+
+    def test_primorial_over_the_bit_budget_is_refused_before_any_prime(self, monkeypatch):
+        def no_primes(limit):
+            raise AssertionError(f"primes up to {limit} requested")
+
+        monkeypatch.setattr(constructions, "primes_upto", no_primes)
+        with pytest.raises(BudgetError, match="threshold 3000000 needs roughly 8700000 bits"):
+            overp_base_point(3_000_000)
 
     def test_min_value_forces_larger_points(self):
         first = overp_base_point(3)
@@ -615,7 +610,8 @@ class TestOverPSequence:
         assert 1 in result.induced and 4 not in result.induced
 
     def test_depth_three_refused(self):
-        with pytest.raises(BudgetError):
+        # the base point search refuses the third threshold, after the first two
+        with pytest.raises(BudgetError, match="primorial power at threshold 1585473935 "):
             overp_sequence(3, 3)
 
     def test_depth_two_anchors_match_flat_reference(self):

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -344,6 +346,7 @@ def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):
         ["verify-appendix", "--trials", "-1"],
         ["construct", "overp", "--cap", "-5"],
         ["construct", "overp", "--p", "3", "--candidates", "-5"],
+        ["construct", "overp", "--p", "3000000"],
         ["construct", "dense-q", "--x", "0"],
         ["sieve-bound", "--n", "10", "--q", "0"],
         ["admissible-max", "--x", "0"],
@@ -363,6 +366,22 @@ def test_bad_input_exits_1_without_traceback(argv, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # OverPSequence.__repr__ imports hashlib where it is used, so that
+    # start-up does not load OpenSSL; only a fresh interpreter shows whether
+    # some module imports it at the top
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, kfree.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -10,9 +10,7 @@ from kfree.errors import KfreeError, NotAdmissibleError, ResourceError
 from kfree.properties import (
     _check_named_certificate,
     AvoidanceCertificate,
-    FiniteSet,
     NoWitness,
-    NotAdmissible,
     SumViolation,
     admissibility_certificate,
     as_elements,
@@ -29,13 +27,16 @@ from kfree.sieve import ResidueClass
 from oracles import kfree_by_factorization, smallest_power_divisor_oracle
 
 
-def test_finite_set_validation():
-    assert FiniteSet.of([5, 3, 3, 9]).elements == (3, 5, 9)
-    with pytest.raises(ValueError):
-        FiniteSet((2, 2))
-    with pytest.raises(ValueError):
-        FiniteSet((0, 1))
-    assert as_elements(FiniteSet.of([1, 2])) == (1, 2)
+def test_as_elements_sorts_and_removes_duplicates():
+    assert as_elements([5, 3, 3, 9]) == (3, 5, 9)
+    assert as_elements(iter([2, 2, 1])) == (1, 2)
+    assert as_elements(()) == ()
+
+
+@pytest.mark.parametrize("values", [(0, 1), (2, -3), [0], [-1]])
+def test_as_elements_rejects_nonpositive(values):
+    with pytest.raises(ValueError, match="elements must be >= 1"):
+        as_elements(values)
 
 
 class TestAdmissibility:
@@ -46,8 +47,10 @@ class TestAdmissibility:
         assert cert.avoided(3) == ResidueClass(1, 9)
 
     def test_fully_occupied_modulus(self):
-        result = admissibility_certificate([1, 2, 3, 4], k=2)
-        assert result == NotAdmissible(2)
+        with pytest.raises(NotAdmissibleError) as info:
+            admissibility_certificate([1, 2, 3, 4], k=2)
+        assert info.value.prime == 2
+        assert str(info.value) == "set occupies all residue classes modulo 2^k"
 
     def test_singleton(self):
         cert = admissibility_certificate([7], k=2)
@@ -61,28 +64,33 @@ class TestAdmissibility:
         rng = random.Random(5)
         for _ in range(100):
             elements = sorted(rng.sample(range(1, 500), rng.randrange(1, 20)))
-            cert = admissibility_certificate(elements, k=2, prime_bound=7)
-            if isinstance(cert, NotAdmissible):
+            blocked = [p for p in (2, 3, 5, 7) if len({a % (p * p) for a in elements}) == p * p]
+            if blocked:
+                with pytest.raises(NotAdmissibleError) as info:
+                    admissibility_certificate(elements, k=2, prime_bound=7)
+                assert info.value.prime == blocked[0]
                 continue
+            cert = admissibility_certificate(elements, k=2, prime_bound=7)
             for p, cls in cert.explicit.items():
                 assert all(a % cls.modulus != cls.residue for a in elements), (p, elements)
 
     def test_completeness_small_sets(self):
-        # NotAdmissible(p) exactly when some p with p^k <= |A| is fully occupied
+        # NotAdmissibleError(p) exactly when some p with p^k <= |A| is fully occupied
         rng = random.Random(11)
         for _ in range(300):
             size = rng.randrange(1, 31)
             elements = sorted(rng.sample(range(1, 80), size))
-            result = admissibility_certificate(elements, k=2)
             blocked = [
                 p
                 for p in (2, 3, 5)
                 if p * p <= size and len({a % (p * p) for a in elements}) == p * p
             ]
             if blocked:
-                assert result == NotAdmissible(blocked[0])
+                with pytest.raises(NotAdmissibleError) as info:
+                    admissibility_certificate(elements, k=2)
+                assert info.value.prime == blocked[0]
             else:
-                assert isinstance(result, AvoidanceCertificate)
+                assert isinstance(admissibility_certificate(elements, k=2), AvoidanceCertificate)
 
     def test_downward_monotone(self):
         base = [3, 5, 9, 17, 33, 65, 129, 257, 513, 1025]
@@ -97,9 +105,13 @@ class TestAdmissibility:
         rng = random.Random(29 + k)
         for _ in range(100):
             elements = sorted(rng.sample(range(1, 400), rng.randrange(1, 40)))
-            cert = admissibility_certificate(elements, k, prime_bound=13)
-            if isinstance(cert, NotAdmissible):
+            blocked = [p for p in (2, 3, 5, 7, 11, 13) if len({a % p**k for a in elements}) == p**k]
+            if blocked:
+                with pytest.raises(NotAdmissibleError) as info:
+                    admissibility_certificate(elements, k, prime_bound=13)
+                assert info.value.prime == blocked[0]
                 continue
+            cert = admissibility_certificate(elements, k, prime_bound=13)
             for p, cls in cert.explicit.items():
                 q = p**k
                 assert cls == ResidueClass(min(set(range(q)) - {a % q for a in elements}), q)

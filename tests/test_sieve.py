@@ -8,7 +8,6 @@ from kfree.sieve import (
     MERTENS_SPLIT_DIVISOR,
     ResidueClass,
     build_prime_table,
-    count_class_in_interval,
     count_power_free_upto,
     crt_combine,
     density_main_term,
@@ -182,33 +181,6 @@ def test_crt_combine_exhaustive_small_products():
         for cls in classes:
             assert merged.residue % cls.modulus == cls.residue
         cases += 1
-
-
-def test_count_class_in_interval_examples():
-    assert count_class_in_interval(1, 10, [ResidueClass(3, 4)]) == 2
-    assert count_class_in_interval(1, 10, [ResidueClass(0, 1)]) == 10
-    assert count_class_in_interval(1, 10, [ResidueClass(3, 4), ResidueClass(3, 9)]) == 1
-    assert count_class_in_interval(5, 4, [ResidueClass(0, 1)]) == 0
-    with pytest.raises(ValueError):
-        count_class_in_interval(6, 4, [ResidueClass(0, 1)])
-
-
-def test_count_class_never_exceeds_density_bound():
-    rng = random.Random(99)
-    for _ in range(400):
-        lo = rng.randrange(1, 1000)
-        hi = lo + rng.randrange(0, 500)
-        m1, m2 = rng.choice([(4, 9), (4, 25), (9, 25), (8, 27), (4, 1), (49, 2)])
-        classes = [ResidueClass(rng.randrange(m1), m1), ResidueClass(rng.randrange(m2), m2)]
-        count = count_class_in_interval(lo, hi, classes)
-        length = hi - lo + 1
-        modulus = m1 * m2
-        assert count <= length // modulus + 1
-        assert count == sum(
-            1
-            for n in range(lo, hi + 1)
-            if all(n % c.modulus == c.residue for c in classes)
-        )
 
 
 # Published squarefree counts Q_2(10^n), n = 0..15 (OEIS A071172); n = 13..15
