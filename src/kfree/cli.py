@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .admissible import (
     admissible_max_exact,
@@ -305,6 +306,9 @@ def _cmd_verify_appendix(args, out) -> int:
     return 1 if failures else 0
 
 
+# Built once per process: parsing leaves the parser unchanged, and no action
+# keeps a value between calls (--id appends to a fresh list each time).
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kfree",

@@ -191,32 +191,97 @@ class GreedyResult:
     skipped: tuple[GreedySkip, ...]
 
 
+def _multiples_mask(q: int, length: int) -> int:
+    """Bits 0, q, 2q, ... below ``length``."""
+    mask, span = 1, q
+    while span < length:
+        mask |= mask << span
+        span *= 2
+    return mask & ((1 << length) - 1)
+
+
 def greedy_squarefree_sums(count: int, include_diagonal: bool = True, k: int = 2) -> GreedyResult:
     """Greedily extend a set keeping every pairwise sum k-free.
 
     Each new term is the smallest integer above the previous one whose sums
     with all existing terms (and with itself, if the diagonal is included)
     are k-free.  Every rejected candidate is logged with a concrete violating
-    pair so greedy minimality can be re-verified.
+    pair so greedy minimality can be re-verified: the first partner in term
+    order, the candidate itself (the diagonal) last, and the smallest prime
+    whose k-th power divides their sum.
+
+    The candidates are sieved in blocks [lo, lo + lo // 4).  The terms below
+    lo strike their classes -a mod p^k in the block, walked in term order
+    and, for each term, in ascending p, while an int bitmask holds the
+    positions no strike has reached yet; the walk stops once none is left.
+    Each strike that reaches an open position is kept, and replaying the kept
+    strikes in reverse, each overwriting its positions, leaves every position
+    with the first strike that reached it: the (partner, prime) above, since
+    every term below lo precedes every term inside the block.  The positions
+    still open are taken in order and checked one sum at a time against the
+    terms accepted inside the block, then the diagonal.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     terms: list[int] = []
     skipped: list[GreedySkip] = []
-    candidate = 1
+    lo = 1
     while len(terms) < count:
-        conflict = None
-        partners = terms + [candidate] if include_diagonal else terms
-        for a in partners:
-            p = smallest_power_divisor(candidate + a, k)
-            if p is not None:
-                conflict = GreedySkip(candidate, a, p)
+        # A quarter of the range below: long enough that the terms below lo
+        # strike nearly every position, short enough that the masks stay
+        # small and little is sieved past the last term.  At 300 terms a
+        # block as long as the range below took 1.5 times as long.
+        length = max(1, lo // 4)
+        primes = primes_upto(integer_kth_root(lo + length - 1 + (terms[-1] if terms else 0), k))
+        powers = [p**k for p in primes]
+        # a q below the block length strikes a class of positions, a larger
+        # one at most one position
+        wide = bisect_left(powers, length)
+        masks = [_multiples_mask(q, length) for q in powers[:wide]]
+        open_ = (1 << length) - 1
+        strikes = []
+        for a in terms:
+            shift = -(lo + a)
+            for p, q, mask in zip(primes, powers, masks):
+                first = shift % q
+                hit = mask << first & open_
+                if hit:
+                    open_ ^= hit
+                    strikes.append((first, q, a, p))
+            for p, q in zip(primes[wide:], powers[wide:]):
+                first = shift % q
+                if first < length and open_ >> first & 1:
+                    open_ ^= 1 << first
+                    strikes.append((first, q, a, p))
+            if not open_:
                 break
-        if conflict is None:
-            terms.append(candidate)
-        else:
-            skipped.append(conflict)
-        candidate += 1
+        partners = [0] * length
+        smallest = [0] * length
+        for first, q, a, p in reversed(strikes):
+            size = (length - 1 - first) // q + 1
+            partners[first::q] = [a] * size
+            smallest[first::q] = [p] * size
+        found = []  # positions of the terms accepted inside the block
+        while open_ and len(terms) < count:
+            i = (open_ & -open_).bit_length() - 1
+            open_ ^= 1 << i
+            c = lo + i
+            for b in terms[len(terms) - len(found) :] + ([c] if include_diagonal else []):
+                p = smallest_power_divisor(c + b, k)
+                if p is not None:
+                    partners[i], smallest[i] = b, p
+                    break
+            else:
+                terms.append(c)
+                found.append(i)
+        # the skips end at the last term once count is reached
+        start = 0
+        for end in found + ([] if len(terms) == count else [length]):
+            skipped.extend(
+                map(GreedySkip, range(lo + start, lo + end), partners[start:end], smallest[start:end])
+            )
+            start = end + 1
+        lo += length
     return GreedyResult(tuple(terms), tuple(skipped))
 
 
@@ -447,9 +512,9 @@ def _reject_bound(n0: int, c: float) -> int:
 _LANE_CHUNK = 4096
 
 
-def _lane_draws(key: int, members: list[int]) -> tuple[int, ...]:
-    """The draw of each n in ``members``, all below 2**64, computed on one
-    int that holds each n in the low half of its own 128-bit slot."""
+def _lane_draws(key: int, members: list[int]) -> int:
+    """The draws of the n in ``members``, all below 2**64, as one int whose
+    i-th 128-bit slot holds the draw of the i-th n in its low half."""
     words = [0] * (2 * len(members))
     words[::2] = members
     layout = f"<{len(words)}Q"
@@ -463,8 +528,7 @@ def _lane_draws(key: int, members: list[int]) -> tuple[int, ...]:
     z = (((z ^ (z >> 31)) & mask) + gamma) & mask
     z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
     z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
-    z = (z ^ (z >> 31)) & mask
-    return struct.unpack(layout, z.to_bytes(8 * len(words), "little"))[::2]
+    return (z ^ (z >> 31)) & mask
 
 
 def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[int, ...]:
@@ -493,6 +557,12 @@ def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[
     because z / 2**64 >= B / 2**64 >= p(n) throughout the block and correctly
     rounded division is monotone, so the float test would reject it too.
     Below 10, and wherever p is capped at 1, every n takes the float test.
+
+    Within a chunk, a block with B < 2**64 first keeps only the draws whose
+    top byte z >> 56 is at most B >> 56, read from the chunk's bytes with one
+    stride and one table translation.  That drops no draw below B, since
+    z < B gives z >> 56 <= B >> 56; a B >= 2**64 keeps every draw.  Only the
+    kept draws take the exact z < B and float tests.
     """
     if not c > 0:  # NaN-safe
         raise ValueError("c must be positive")
@@ -507,11 +577,23 @@ def sample_counterexample(c: float, x_max: int, seed: int, k: int = 2) -> tuple[
     for lo in range(3, x_max + 1, _LANE_CHUNK):
         hi = min(lo + _LANE_CHUNK, x_max + 1)
         members = list(compress(range(lo, hi), flags[lo - 3 : hi - 3]))
-        for n, z in zip(members, _lane_draws(key, members)):
-            if n >= block_end:
-                bound, block_end = _reject_bound(n, c), 2 * n
-            if z < bound and z / 2**64 < membership_probability(n, c):
-                chosen.append(n)
+        draws = _lane_draws(key, members).to_bytes(16 * len(members), "little")
+        start = 0
+        while start < len(members):
+            if members[start] >= block_end:
+                bound, block_end = _reject_bound(members[start], c), 2 * members[start]
+            end = bisect_left(members, block_end, start)
+            kept = range(start, end)
+            if bound < 1 << 64:
+                top = bound >> 56
+                table = b"\x01" * (top + 1) + bytes(255 - top)
+                kept = compress(kept, draws[16 * start + 7 : 16 * end : 16].translate(table))
+            for i in kept:
+                n = members[i]
+                z = int.from_bytes(draws[16 * i : 16 * i + 8], "little")
+                if z < bound and z / 2**64 < membership_probability(n, c):
+                    chosen.append(n)
+            start = end
     return tuple(chosen)
 
 

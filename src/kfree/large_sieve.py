@@ -16,6 +16,7 @@ in exact rationals; floating point appears only in the Fourier verification.
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping
 
 from .sieve import _require_bytes, primes_upto
@@ -202,6 +203,10 @@ def verify_sqsieve_inequality(
     The coefficients must be supported off the removed classes mod p^k.  Also
     evaluates the Plancherel identity sum |c_a|^2 = (p^k - omega) * omega for
     the Fourier coefficients of omega - p^k * 1_removed.
+
+    Both sums are evaluated term by term from one table of the q-th roots of
+    unity repeated q - 1 times, 8 * q * (q - 1) bytes of references; past the
+    byte cap that raises ResourceError before the table is built.
     """
     q = p**k
     removed_set = {r % q for r in removed}
@@ -212,22 +217,28 @@ def verify_sqsieve_inequality(
         if n % q in removed_set:
             raise ValueError(f"coefficient at {n} sits in a removed class mod {q}")
 
-    def s_at(a: int) -> complex:
-        return sum(
-            value * cmath.exp(2j * cmath.pi * n * a / q)
-            for n, value in coefficients.items()
-        )
+    # Row a, e(a*r/q) for r = 0..q-1, is the stride-a slice
+    # table[0 : a*q : a], so each sum below is one C-level dot product.
+    _require_bytes(8 * q * (q - 1), f"root table for q = {q}")
+    table = [cmath.exp(2j * cmath.pi * r / q) for r in range(q)] * (q - 1)
 
-    s0 = abs(s_at(0)) ** 2
-    lhs = sum(abs(s_at(a)) ** 2 for a in range(1, q))
+    # S(a/q) = sum_r v_r e(a*r/q), with v_r the coefficients summed by
+    # residue r mod q
+    residue_sums = [0j] * q
+    for n, value in coefficients.items():
+        residue_sums[n % q] += value
+    s0 = abs(sum(residue_sums)) ** 2
+    lhs = sum(
+        abs(sum(map(mul, residue_sums, table[0 : a * q : a]))) ** 2 for a in range(1, q)
+    )
     rhs = omega / (q - omega) * s0
     holds = lhs >= rhs - VERIFY_TOLERANCE * max(1.0, rhs)
 
+    # c_a = (1/q) sum_r balanced_r e(-a*r/q), and e(-a*r/q) = e((q - a)*r/q)
     balanced = [omega - (q if r in removed_set else 0) for r in range(q)]
     plancherel = 0.0
     for a in range(1, q):
-        c_a = sum(
-            balanced[r] * cmath.exp(-2j * cmath.pi * a * r / q) for r in range(q)
-        ) / q
+        b = q - a
+        c_a = sum(map(mul, balanced, table[0 : b * q : b])) / q
         plancherel += abs(c_a) ** 2
     return SqSieveCheck(lhs, rhs, holds, plancherel, float((q - omega) * omega))

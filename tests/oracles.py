@@ -5,6 +5,7 @@ plain trial division, counting is per-integer, and the window maximum is a
 flat product enumeration over every residue choice.
 """
 
+import cmath
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress, product
@@ -111,6 +112,50 @@ def smallest_power_divisor_oracle(n, k=2):
         if e >= k:
             return p
     return None
+
+
+def greedy_flat(count, include_diagonal=True, k=2):
+    """``greedy_squarefree_sums`` one candidate at a time: each candidate's
+    sums with the terms, in order, then with itself, each factored by trial
+    division.  Returns (terms, skips), each skip a (candidate, partner,
+    prime) tuple with the first violating partner and its smallest prime."""
+    terms, skips = [], []
+    candidate = 1
+    while len(terms) < count:
+        for a in terms + [candidate] if include_diagonal else terms:
+            p = smallest_power_divisor_oracle(candidate + a, k)
+            if p is not None:
+                skips.append((candidate, a, p))
+                break
+        else:
+            terms.append(candidate)
+        candidate += 1
+    return tuple(terms), tuple(skips)
+
+
+def sqsieve_flat(p, k, removed, coefficients):
+    """``verify_sqsieve_inequality``'s sums with a fresh cmath.exp for every
+    term: (lhs, rhs, plancherel_sum), where lhs sums |S(a/q)|^2 over
+    1 <= a < q, S(x) = sum_n a_n e(n x), rhs = omega/(q - omega) |S(0)|^2,
+    and plancherel_sum sums |c_a|^2 over the Fourier coefficients of
+    omega - q * 1_removed."""
+    q = p**k
+    removed_set = {r % q for r in removed}
+    omega = len(removed_set)
+
+    def s_at(a):
+        return sum(
+            value * cmath.exp(2j * cmath.pi * n * a / q) for n, value in coefficients.items()
+        )
+
+    lhs = sum(abs(s_at(a)) ** 2 for a in range(1, q))
+    rhs = omega / (q - omega) * abs(s_at(0)) ** 2
+    balanced = [omega - (q if r in removed_set else 0) for r in range(q)]
+    plancherel = 0.0
+    for a in range(1, q):
+        c_a = sum(balanced[r] * cmath.exp(-2j * cmath.pi * a * r / q) for r in range(q)) / q
+        plancherel += abs(c_a) ** 2
+    return lhs, rhs, plancherel
 
 
 def crt_scan(classes):

@@ -12,6 +12,8 @@ from kfree.constructions import (
     _reject_bound,
     DenseQState,
     GROWTH_FUNCTIONS,
+    GreedyResult,
+    GreedySkip,
     dense_q_step,
     greedy_squarefree_sums,
     membership_probability,
@@ -28,6 +30,7 @@ from kfree.sieve import build_prime_table, kfree_window
 
 from oracles import (
     dense_anchor_flat,
+    greedy_flat,
     kfree_by_factorization,
     overp_base_point_flat,
     overp_induced_flat,
@@ -171,6 +174,37 @@ class TestGreedySums:
             total = skip.candidate + skip.partner
             assert total % skip.prime**2 == 0
             assert skip.partner == skip.candidate or skip.partner in result.terms
+
+    def test_matches_flat_reference(self):
+        # counts that end inside a block and on its first position, for both
+        # exponents and with and without the diagonal
+        for k in (2, 3):
+            for include_diagonal in (True, False):
+                for count in (0, 1, 2, 3, 4, 5, 7, 12, 31, 32, 57, 80):
+                    terms, skips = greedy_flat(count, include_diagonal, k)
+                    expected = GreedyResult(terms, tuple(GreedySkip(*skip) for skip in skips))
+                    assert greedy_squarefree_sums(count, include_diagonal, k) == expected, (
+                        count, include_diagonal, k
+                    )
+
+    # sha256 of repr(greedy_squarefree_sums(n)) from the one-candidate-at-a-time
+    # loop the block sieve replaced; the benchmark hashes this repr
+    PINNED_REPR_SHA256 = {
+        0: "a1477e40b50fe82cc7da21cd3acfb0cbc8fb150f9dc947042f11e67596bee5e1",
+        1: "f4fb68de196a5c2da59e6416221ca98ce1c4437382bf23ab65d6ef355410c673",
+        2: "b036c4ecb35ec9a374f4b2f0b7f7b76bb033b76ad10023a6eba8f66bc41aa267",
+        3: "e37e923e58e0e2553d2a4ae71ad61bdbb1d159a16cad21ead36bdc06491c833c",
+        31: "7e3df456d224c2f801437a73739bcaba1d011ae96995511dcf308866f53ed029",
+        32: "e699864b4a0fad8115e7fd2655944c08fc90c7623c51280e630e73d60cacc07e",
+        80: "72177ad3b3c864245cf576183d3baf7110454faad46bcd084f47a0b4404cd1d2",
+        150: "421d9b73a66d77beef7194780a50a0ddfb53386a4603acc4d0c42f84e0ac04dd",
+        200: "65957f2dd34eaf884cc476623ff660eb7fb612054b11eb2d2582a38359c7fdb0",
+    }
+
+    def test_repr_matches_pinned_digests(self):
+        for count, expected in self.PINNED_REPR_SHA256.items():
+            text = repr(greedy_squarefree_sums(count))
+            assert hashlib.sha256(text.encode()).hexdigest() == expected, count
 
 
 class TestSuffWitnessSearch:
@@ -425,6 +459,18 @@ class TestSampler:
                 assert sample_counterexample(c, x_max, seed, k) == sample_flat(
                     c, x_max, seed, k
                 ), (c, x_max, seed, k)
+        # rates capped at 1 on part of the range (up to n = 439 at c = 40) or
+        # on all of it (c = 1000), and x_max on either side of the first two
+        # chunk edges
+        chunk = constructions._LANE_CHUNK
+        cases = [(c, x_max) for c in (40, 1000) for x_max in (12, 250, 1500)]
+        cases += [(c, 3 + j * chunk + d) for c in (0.5, 5) for j in (1, 2) for d in (-1, 0, 1)]
+        for c, x_max in cases:
+            seed = rng.randrange(2**64)
+            k = rng.choice((2, 3))
+            assert sample_counterexample(c, x_max, seed, k) == sample_flat(
+                c, x_max, seed, k
+            ), (c, x_max, seed, k)
 
     def test_lane_chunks_match_flat_reference(self, monkeypatch):
         # x_max on both sides of the first chunk edges, so chunks of one

@@ -16,6 +16,10 @@ from kfree.large_sieve import (
     verify_sqsieve_inequality,
 )
 
+from kfree.cli import random_sqsieve_instance
+
+from oracles import sqsieve_flat
+
 CONSTANT_ONE = OmegaProfile.constant_one(2)
 ES = OmegaProfile.es_sumfree()
 
@@ -193,6 +197,14 @@ class TestFourierVerification:
         with pytest.raises(ValueError):
             verify_sqsieve_inequality(2, 2, [0, 1, 2, 3], {})
 
+    def test_root_table_over_byte_cap_raises_before_building(self, monkeypatch):
+        # the table holds 8 * q * (q - 1) bytes of references: 96 at q = 4,
+        # 18816 at q = 49
+        monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+        assert verify_sqsieve_inequality(2, 2, [0], {1: 1}).holds
+        with pytest.raises(ResourceError, match="root table for q = 49 "):
+            verify_sqsieve_inequality(7, 2, [0], {1: 1})
+
     def test_random_instances_hold(self):
         rng = random.Random(2026)
         for _ in range(100):
@@ -227,3 +239,26 @@ class TestFourierVerification:
                     }
                     check = verify_sqsieve_inequality(p, 2, removed, coeffs)
                     assert check.holds and check.plancherel_ok, (p, omega)
+
+    def test_matches_flat_reference(self):
+        # The root table and the residue sums add the same terms in another
+        # order.  Each |S(a/q)|^2 is at most (sum |a_n|)^2, so the sums are
+        # held to 1e-12 of themselves or of q times that, whichever is larger:
+        # an S that nearly cancels has no more digits to agree on.
+        rng = random.Random(20261020)
+        seen = set()
+        for _ in range(600):
+            p, removed, coeffs = random_sqsieve_instance(rng)
+            seen.add(p)
+            q = p * p
+            scale = 1e-12 * q * sum(map(abs, coeffs.values())) ** 2
+            check = verify_sqsieve_inequality(p, 2, removed, coeffs)
+            lhs, rhs, plancherel = sqsieve_flat(p, 2, removed, coeffs)
+            assert math.isclose(check.lhs, lhs, rel_tol=1e-12, abs_tol=scale)
+            assert math.isclose(check.rhs, rhs, rel_tol=1e-12, abs_tol=scale)
+            assert math.isclose(check.plancherel_sum, plancherel, rel_tol=1e-12)
+            tolerance = 1e-9 * max(1.0, rhs)
+            assert check.holds == (lhs >= rhs - tolerance)
+            expected = check.plancherel_expected
+            assert check.plancherel_ok == (abs(plancherel - expected) <= 1e-9 * max(1.0, expected))
+        assert seen == {2, 3, 5, 7}

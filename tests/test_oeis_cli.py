@@ -368,6 +368,37 @@ def test_bad_input_exits_1_without_traceback(argv, capsys):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_repeated_main_calls_match_separate_processes(capsys):
+    # main reuses one parser per process: an --id list, a parse error or a
+    # failed command must not leak into the next call
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argvs = [
+        ["crosscheck", "--id", "A000051", "--id", "A000225"],
+        ["crosscheck", "--id", "A038507"],
+        ["sieve-count", "--x", "abc"],
+        ["sieve-count", "--x", "100"],
+        ["construct", "greedy-sums", "--count", "12", "--no-diagonal"],
+        ["construct", "greedy-sums", "--count", "12"],
+        ["sieve-count", "--x", "-5"],
+        ["verify-appendix", "--trials", "5", "--seed", "3"],
+        ["crosscheck", "--id", "A033312"],
+    ]
+    for argv in argvs:
+        buffer = io.StringIO()
+        try:
+            code = main(argv, out=buffer)
+        except SystemExit as error:
+            code = error.code
+        capsys.readouterr()
+        separate = subprocess.run(
+            [sys.executable, "-m", "kfree.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert (code, buffer.getvalue()) == (separate.returncode, separate.stdout), argv
+
+
 def test_cli_import_leaves_hashlib_unloaded():
     # OverPSequence.__repr__ imports hashlib where it is used, so that
     # start-up does not load OpenSSL; only a fresh interpreter shows whether
