@@ -28,7 +28,6 @@ from .large_sieve import (
     OmegaProfile,
     es_omega,
     h_sum,
-    h_weight,
     optimize_q,
     sieve_bound,
     verify_sqsieve_inequality,

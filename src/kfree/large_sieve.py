@@ -71,25 +71,6 @@ class OmegaProfile:
         return cls(2, es_omega, "ES_SUMFREE")
 
 
-def h_weight(q: int, profile: OmegaProfile) -> Fraction:
-    """mu^2(q) * prod_{p | q} omega(p^k)/(p^k - omega(p^k)), exact."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    value = Fraction(1)
-    n = q
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return Fraction(0)  # q not squarefree
-            value *= _h_factor(d, profile)
-        d += 1 if d == 2 else 2
-    if n > 1:
-        value *= _h_factor(n, profile)
-    return value
-
-
 def _h_factor(p: int, profile: OmegaProfile) -> Fraction:
     omega = profile.omega(p)
     return Fraction(omega, p**profile.k - omega)

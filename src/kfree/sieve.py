@@ -18,30 +18,34 @@ composite d only repeats a prime factor's strikes, so the flags are those of
 every prime up to end**(1/k), while the prime table stops at the cut.
 The count Q_k(x) of k-free integers up to x
 is not a sweep over [1, x]: it is the Moebius sum
-Q_k(x) = sum_d mu(d) * floor(x / d^k), split at D, about x^(2/5) for k = 2.
-The d <= D are summed directly, with mu(d) sieved block by block from the
-primes up to sqrt(D); the d > D are summed through Mertens values M(y),
-computed from the prefix M(0..D) and from each other.  That costs
-O(x^(2/5)) time for k = 2, and the prefix of 4 * (D + 1) bytes is what the
-byte cap limits: Q_2 runs to about 7 * 10^18, Q_3 to about 4 * 10^26.
+Q_k(x) = sum_d mu(d) * floor(x / d^k).  Only the d up to about x^(1/(k+1))
+are summed one by one; the larger d share their quotients and enter through
+Mertens values M(y).  mu(d) is sieved block by block up to D, about x^(2/5)
+for k = 2, from the primes up to sqrt(D), and each block adds the Mertens
+values read inside it before it is dropped.  That costs O(x^(2/5)) time for
+k = 2, and memory holds one block and the O(x^(1/(2k))) values M(y) for y up
+to sqrt(x^(1/k)), whose growth is what the byte cap stops first: Q_2 near
+3.5 * 10^25, long after time has.
 """
 
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt, log, pi, prod
 from operator import floordiv, mul, sub
 
 from .errors import ResourceError
 
 # Block length of the Moebius sieve behind counting; it bounds that sieve's
-# memory no matter how large x gets.
-MOBIUS_SEGMENT = 1 << 16
+# memory, and the Mertens values held for one block, however large x gets.
+# A block of 2^15 holds 1.3 MB of them; against 2^16, Q_2(10^12..10^16)
+# took 0-5% longer (and 2^14 7-15% longer), at half the memory.
+MOBIUS_SEGMENT = 1 << 15
 
 # Cap on the byte array backing a prime table or a k-free window (one byte per
-# integer), and on the number of terms of a counting sum.
+# integer), and on the Mertens values a count holds.
 PRIME_TABLE_BYTE_CAP = 200_000_000
 
 
@@ -161,11 +165,6 @@ class KFreeWindow:
     length: int
     k: int
     flags: bytes
-
-    def is_free(self, n: int) -> bool:
-        if not self.start <= n < self.start + self.length:
-            raise IndexError(f"{n} outside window [{self.start}, {self.start + self.length})")
-        return bool(self.flags[n - self.start])
 
     def members(self) -> list[int]:
         return list(compress(range(self.start, self.start + self.length), self.flags))
@@ -324,36 +323,67 @@ def _mobius_block(lo: int, hi: int, primes) -> array:
 
 
 # count_power_free_upto splits its sum at I = x^(1/(2k+1)) // MERTENS_SPLIT_DIVISOR.
-# With I = c * x^(1/(2k+1)), repeated counts took these medians (best of two
-# series, Python 3.11, 2-core host) for c = 1/8, 1/4, 1/2, 1, 2.  k = 2:
-# 1.32, 1.07, 1.07, 1.32, 1.89 ms near 10^8; 42.8, 35.9, 33.1, 33.4, 47.9 ms
-# at 10^12; 1.84, 1.55, 1.33, 1.43, 1.97 s at 10^16.  k = 3: 0.16, 0.15, 0.19,
-# 0.26, 0.39 ms near 1.35 * 10^8; 73, 70, 66, 78, 103 ms at 10^18.
-MERTENS_SPLIT_DIVISOR = 2
+# With I = c * x^(1/(2k+1)), repeated counts took these medians per count
+# (seven interleaved series, Python 3.11, 2-core host) for c = 1/16, 1/8,
+# 1/4, 1/2.  k = 2: 0.31, 0.29, 0.33, 0.43 ms near 10^8; 10.0, 9.8, 10.9,
+# 14.2 ms at 10^12; 443, 413, 462, 601 ms at 10^16.  k = 3: 0.058, 0.058,
+# 0.067, 0.087 ms near 1.35 * 10^8; 24.6, 25.7, 28.9, 36.3 ms at 10^18.
+MERTENS_SPLIT_DIVISOR = 8
+
+# Bytes held per value in a list of ints: the list's pointer and the int
+# object (28 bytes, allocated in 32).
+_LIST_ENTRY_BYTES = 40
+
+
+def _kth_roots(ns, k: int):
+    """integer_kth_root(n, k) for each n in ``ns``, lazily."""
+    if k == 2:
+        return map(isqrt, ns)
+    return map(integer_kth_root, ns, repeat(k))
+
+
+def _direct_terms(x: int, k: int, lo: int, mu: array) -> int:
+    """sum mu(d) * floor(x / d^k) over lo <= d < lo + len(mu)."""
+    signs = mu.tobytes()
+    ds = range(lo, lo + len(mu))
+    plus = compress(ds, signs.translate(_PLUS))
+    minus = compress(ds, signs.translate(_MINUS))
+    return sum(map(floordiv, repeat(x), map(pow, plus, repeat(k)))) - sum(
+        map(floordiv, repeat(x), map(pow, minus, repeat(k)))
+    )
 
 
 def count_power_free_upto(x: int, k: int = 2) -> int:
     """Exact count Q_k(x) of k-free integers in [1, x].
 
     Q_k(x) = sum_d mu(d) * floor(x / d^k): the k-th powers of the squarefree
-    d include-exclude the multiples of p^k.  Following J. Pawlewicz,
-    "Counting square-free numbers" (2011, arXiv:1107.4890), the sum is split
-    at D = floor((x / I)^(1/k)), with I = x^(1/(2k+1)) // MERTENS_SPLIT_DIVISOR
-    (at least 1):
+    d include-exclude the multiples of p^k.  With r_v = floor((x / v)^(1/k))
+    and M the Mertens function, the d > E with floor(x / d^k) >= v are those
+    in (E, r_v], so for any E
+    Q_k(x) = sum_{d <= E} mu(d) floor(x / d^k) + sum_{v=1}^V M(r_v) - V M(E),
+    with V = floor(x / (E+1)^k).  Following J. Pawlewicz, "Counting
+    square-free numbers" (2011, arXiv:1107.4890), the M(r_v) are split at
+    D = floor((x / I)^(1/k)), with I = x^(1/(2k+1)) // MERTENS_SPLIT_DIVISOR
+    (at least 1), and E = min(D, floor((k^k x)^(1/(k+1)))):
 
-    * the d <= D are summed directly.  Their mu is sieved by
-      :func:`_mobius_block` in blocks of ``MOBIUS_SEGMENT`` from the primes
-      up to sqrt(D), and also fills the Mertens prefix M(0..D);
-    * the d > D have floor(x / d^k) < I.  They add sum (M(r_m) - M(D)) over
-      the m with r_m = floor((x / m)^(1/k)) > D, which are m = 1 .. x // (D+1)^k.
+    * mu(d) for d <= D is sieved by :func:`_mobius_block` in blocks [lo, hi)
+      of ``MOBIUS_SEGMENT`` from the primes up to sqrt(D).  A block adds its
+      terms with d <= E, and reads M(r_v) for the v in (m_max, V] with r_v in
+      the block: the v in (x // hi^k, x // lo^k];
+    * the v = m <= m_max = x // (D+1)^k have r_m > D.  Each M(r_m) comes from
+      M(y) = 1 - sum_{j >= 2} M(floor(y / j)).  The quotients at most D with
+      j <= sqrt(y) are read by the blocks, as those of the j in
+      (y // hi, y // lo].  After the sweep, going down in m, the quotients
+      above D are M(r_(m*j^k)), since floor(r_m / j) = r_(m*j^k), and the j
+      past sqrt(y) are taken one group of equal quotients v <= sqrt(r_1) at a
+      time, from the M(v) kept as the sweep passed them.
 
-    Each M(r_m) comes from M(y) = 1 - sum_{j >= 2} M(floor(y / j)).  As
-    floor(r_m / j) = r_(m*j^k), the terms above D are M(r_(m*j^k)), found
-    before M(r_m) by going down in m.  The terms at most D are read from the
-    prefix, one j at a time up to sqrt(y) and then one group of equal
-    quotients at a time.  That takes O(x^(2/5)) time for k = 2, and
-    O(x^(2/(2k+1))) in general.  The prefix takes 4 * (D + 1) bytes, charged
-    against ``PRIME_TABLE_BYTE_CAP`` before any prime is requested.
+    That takes O(x^(2/5)) time for k = 2, and O(x^(2/(2k+1))) in general.
+    What is held at once, one block's Mertens values, the M(v) up to
+    sqrt(r_1) and a few values per m <= m_max, is charged at 40 bytes a value
+    (a list slot and its int) against ``PRIME_TABLE_BYTE_CAP`` before any
+    prime is requested.  With nothing above D (x below about
+    (2 * MERTENS_SPLIT_DIVISOR)^(2k+1)), the sum is the plain one over d <= D.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -361,39 +391,73 @@ def count_power_free_upto(x: int, k: int = 2) -> int:
         raise ValueError("k must be >= 2")
     split = max(1, integer_kth_root(x, 2 * k + 1) // MERTENS_SPLIT_DIVISOR)
     d_max = integer_kth_root(x // split, k)
-    _require_bytes(4 * (d_max + 1), f"Mertens prefix up to {d_max}")
-    primes = primes_upto(isqrt(d_max))
-    # the m with r_m > d_max; without them the prefix goes unread
+    # the m with r_m > d_max
     m_max = x // (d_max + 1) ** k
-    mertens = array("i", [0])
-    total = 0
+    if not m_max:
+        # nothing above d_max, then below about a thousand: the plain Moebius sum
+        primes = primes_upto(isqrt(d_max))
+        total = 0
+        for lo in range(1, d_max + 1, MOBIUS_SEGMENT):
+            total += _direct_terms(x, k, lo, _mobius_block(lo, min(lo + MOBIUS_SEGMENT, d_max + 1), primes))
+        return total
+    # the Mertens values M(y // j) that M(r_m) reads in groups, y // j < sqrt(r_1)
+    small = isqrt(integer_kth_root(x, k))
+    block = min(MOBIUS_SEGMENT, d_max)
+    _require_bytes(
+        _LIST_ENTRY_BYTES * (block + 2 * small + 6 * m_max + 4),
+        f"Mertens values (a {block}-long block, two lists up to {small}, six per m <= {m_max})",
+    )
+    primes = primes_upto(isqrt(d_max))
+    # Past (k x)^(1/(k+1)) consecutive d share quotients.  A quotient costs a
+    # root, an isqrt at k = 2 about twice a direct term and a Newton root at
+    # k >= 3 about ten times, so the direct sum runs on to (k^k x)^(1/(k+1)).
+    e_max = min(d_max, integer_kth_root(k**k * x, k + 1))
+    v_max = x // (e_max + 1) ** k
+    # (m, y = r_m, first, root): floor(y / j) > d_max for 2 <= j < first
+    ys = _kth_roots(map(floordiv, repeat(x), range(1, m_max + 1)), k)
+    plan = [(m, y, y // (d_max + 1) + 1, isqrt(y)) for m, y in enumerate(ys, 1)]
+    # above[m] gathers the terms of M(r_m) read in the blocks, and is M(r_m) at the end
+    above = [0] * (m_max + 1)
+    low = [0]
+    total = running = mertens_e = 0
     for lo in range(1, d_max + 1, MOBIUS_SEGMENT):
         hi = min(lo + MOBIUS_SEGMENT, d_max + 1)
         mu = _mobius_block(lo, hi, primes)
-        signs = mu.tobytes()
-        for sign, flag in ((1, _PLUS), (-1, _MINUS)):
-            ds = compress(range(lo, hi), signs.translate(flag))
-            total += sign * sum(map(floordiv, repeat(x), map(pow, ds, repeat(k))))
-        if m_max:
-            mertens.fromlist(list(accumulate(mu, initial=mertens.pop())))
-    if not m_max:
-        return total
-    # above[m] = M(r_m)
-    above = [0] * (m_max + 1)
+        if lo <= e_max:
+            total += _direct_terms(x, k, lo, mu[: e_max + 1 - lo])
+        # mertens[t - base] = M(t) for base <= t < hi
+        base = lo - 1
+        mertens = list(accumulate(mu, initial=running))
+        running = mertens[-1]
+        if base < e_max < hi:
+            mertens_e = mertens[e_max - base]
+        if lo <= small:
+            low += mertens[1 : small - base + 1]
+        # M(r_v) for the v in (m_max, v_max] with lo <= r_v < hi
+        v_lo = max(m_max, x // hi**k) + 1
+        v_hi = min(v_max, x // lo**k)
+        if v_lo <= v_hi:
+            roots = _kth_roots(map(floordiv, repeat(x), range(v_lo, v_hi + 1)), k)
+            total += sum(map(mertens.__getitem__, map(sub, roots, repeat(base))))
+        # M(y // j) for the j in [first, root] with lo <= y // j < hi
+        for m, y, first, root in plan:
+            j_lo = max(first, y // hi + 1)
+            j_hi = min(root, y // lo)
+            if j_lo <= j_hi:
+                quotients = map(floordiv, repeat(y), range(j_lo, j_hi + 1))
+                above[m] += sum(map(mertens.__getitem__, map(sub, quotients, repeat(base))))
+        # one block's values at a time: drop them before the next are made
+        del mu, mertens
     powers = [j**k for j in range(integer_kth_root(m_max, k) + 1)]
-    for m in range(m_max, 0, -1):
-        y = integer_kth_root(x // m, k)
-        # floor(y / j) > d_max, that is m * j^k <= m_max, for 2 <= j < first
-        first = y // (d_max + 1) + 1
-        s = sum(map(above.__getitem__, map(mul, repeat(m), powers[2:first])))
-        # then one j at a time up to sqrt(y), and the j past both in groups:
-        # y // v - y // (v + 1) of them have quotient v
-        root = isqrt(y)
-        s += sum(map(mertens.__getitem__, map(floordiv, repeat(y), range(first, root + 1))))
+    for m, y, first, root in reversed(plan):
+        # the quotients above d_max are M(r_(m*j^k)) = above[m * j^k], and the
+        # j past first and root come in groups: y // v - y // (v + 1) of them
+        # have quotient v
+        s = above[m] + sum(map(above.__getitem__, map(mul, repeat(m), powers[2:first])))
         ends = list(map(floordiv, repeat(y), range(1, y // max(first, root + 1) + 2)))
-        s += sum(map(mul, map(sub, ends, ends[1:]), mertens[1 : len(ends)]))
+        s += sum(map(mul, map(sub, ends, islice(ends, 1, None)), islice(low, 1, None)))
         above[m] = 1 - s
-    return total + sum(above) - m_max * mertens[d_max]
+    return total + sum(above) - v_max * mertens_e
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,13 @@ flat product enumeration over every residue choice.
 """
 
 import cmath
+from array import array
 from bisect import bisect_left
+from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product
+from itertools import accumulate, compress, product, repeat
 from math import isqrt, log
+from operator import floordiv, mul, sub
 from random import Random
 
 from kfree.errors import BudgetError
@@ -100,6 +103,48 @@ def mobius_count_flat(x, k=2, segment=1 << 16):
     return total
 
 
+def mertens_prefix_count(x, k=2, segment=1 << 16):
+    """Q_k(x) by the Moebius sum split at D, holding the whole Mertens prefix
+    M(0..D) (J. Pawlewicz, "Counting square-free numbers", arXiv:1107.4890).
+
+    The d <= D = floor((x / I)^(1/k)), I = x^(1/(2k+1)) // 2, are summed
+    directly.  The d > D add sum (M(r_m) - M(D)) over m = 1 .. x // (D+1)^k,
+    r_m = floor((x / m)^(1/k)), and M(r_m) = 1 - sum_{j >= 2} M(floor(r_m / j))
+    is found going down in m: the terms above D are M(r_(m*j^k)), and those at
+    most D are read from the prefix, one j at a time up to sqrt(r_m) and then
+    one group of equal quotients at a time.
+    """
+    split = max(1, kth_root_flat(x, 2 * k + 1) // 2)
+    d_max = kth_root_flat(x // split, k)
+    flags = prime_flags(isqrt(d_max))
+    primes = list(compress(range(len(flags)), flags))
+    m_max = x // (d_max + 1) ** k
+    mertens = array("i", [0])
+    total = 0
+    for lo in range(1, d_max + 1, segment):
+        hi = min(lo + segment, d_max + 1)
+        mu = _mobius_block_flat(lo, hi, primes)
+        total += sum(m * (x // d**k) for d, m in zip(range(lo, hi), mu) if m)
+        if m_max:
+            mertens.fromlist(list(accumulate(mu, initial=mertens.pop())))
+    if not m_max:
+        return total
+    # above[m] = M(r_m)
+    above = [0] * (m_max + 1)
+    powers = [j**k for j in range(kth_root_flat(m_max, k) + 1)]
+    for m in range(m_max, 0, -1):
+        y = kth_root_flat(x // m, k)
+        # floor(y / j) > d_max, that is m * j^k <= m_max, for 2 <= j < first
+        first = y // (d_max + 1) + 1
+        s = sum(map(above.__getitem__, map(mul, repeat(m), powers[2:first])))
+        root = isqrt(y)
+        s += sum(map(mertens.__getitem__, map(floordiv, repeat(y), range(first, root + 1))))
+        ends = list(map(floordiv, repeat(y), range(1, y // max(first, root + 1) + 2)))
+        s += sum(map(mul, map(sub, ends, ends[1:]), mertens[1 : len(ends)]))
+        above[m] = 1 - s
+    return total + sum(above) - m_max * mertens[d_max]
+
+
 def nth_squarefree_bisect(n):
     """n-th squarefree number: the least x with mobius_count_flat(x) >= n,
     bisected over [n, 2n], which holds it since at most 0.46 * 2n integers
@@ -156,6 +201,20 @@ def sqsieve_flat(p, k, removed, coefficients):
         c_a = sum(balanced[r] * cmath.exp(-2j * cmath.pi * a * r / q) for r in range(q)) / q
         plancherel += abs(c_a) ** 2
     return lhs, rhs, plancherel
+
+
+def h_weight(q, profile):
+    """mu^2(q) * prod_{p | q} omega(p^k) / (p^k - omega(p^k)), exact, with q
+    factored by trial division."""
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    value = Fraction(1)
+    for p, e in factorize(q).items():
+        if e > 1:
+            return Fraction(0)  # q not squarefree
+        omega = profile.omega(p)
+        value *= Fraction(omega, p**profile.k - omega)
+    return value
 
 
 def crt_scan(classes):

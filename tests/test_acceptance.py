@@ -210,7 +210,7 @@ def test_criterion_09_random_counterexample_sampler():
         sizes.append(len(sample))
         if seed < 5:
             assert all(n >= 3 for n in sample)
-            assert all(window.is_free(n) for n in sample)
+            assert all(window.flags[n - window.start] for n in sample)
             assert sample == sample_counterexample(5, x, seed=seed)
     mean = sum(sizes) / len(sizes)
     relative = abs(mean - expected) / expected

@@ -9,7 +9,6 @@ from kfree.large_sieve import (
     OmegaProfile,
     es_omega,
     h_sum,
-    h_weight,
     h_weights_upto,
     optimize_q,
     sieve_bound,
@@ -18,7 +17,7 @@ from kfree.large_sieve import (
 
 from kfree.cli import random_sqsieve_instance
 
-from oracles import sqsieve_flat
+from oracles import h_weight, sqsieve_flat
 
 CONSTANT_ONE = OmegaProfile.constant_one(2)
 ES = OmegaProfile.es_sumfree()

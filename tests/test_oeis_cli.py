@@ -324,11 +324,12 @@ def test_non_integer_count_input_exits_2():
 
 
 def test_sieve_count_within_byte_cap_past_sqrt_x(monkeypatch, capsys):
-    # sqrt(1.2 * 10^8) = 10954 > 10^4, while the Mertens prefix up to
-    # D = 2449 takes 9800 bytes
-    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
-    code, text = run_cli(["sieve-count", "--x", str(12 * 10**7)])
-    assert (code, text, capsys.readouterr().err) == (0, f"{mobius_count_flat(12 * 10**7)}\n", "")
+    # the cap is sqrt(10^10) = 10^5 bytes, while the Mertens values held, in
+    # blocks of 1000, take 68080
+    monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", 1000)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**5)
+    code, text = run_cli(["sieve-count", "--x", str(10**10)])
+    assert (code, text, capsys.readouterr().err) == (0, f"{mobius_count_flat(10**10)}\n", "")
 
 
 def test_sample_counter_window_over_byte_cap_exits_1(monkeypatch, capsys):

@@ -1,8 +1,11 @@
 import gc
 import random
+import tracemalloc
+from math import isqrt
 
 import pytest
 
+from kfree import sieve
 from kfree.errors import ResourceError
 from kfree.sieve import (
     MERTENS_SPLIT_DIVISOR,
@@ -21,6 +24,7 @@ from oracles import (
     count_kfree_oracle,
     crt_scan,
     kfree_by_factorization,
+    mertens_prefix_count,
     mobius_count_flat,
     trial_division_primes,
 )
@@ -100,7 +104,7 @@ def test_kfree_window_matches_pointwise():
         k = rng.choice((2, 2, 3))
         window = kfree_window(y, length, k)
         for n in range(y, y + length):
-            assert window.is_free(n) == (smallest_power_divisor(n, k) is None), (y, length, k, n)
+            assert window.flags[n - y] == (smallest_power_divisor(n, k) is None), (y, length, k, n)
 
 
 def test_count_power_free_examples():
@@ -239,19 +243,81 @@ def test_count_segments_match_mobius_sum(monkeypatch):
             assert count_power_free_upto(x, k) == mobius_count_flat(x, k), (x, k, segment)
 
 
-def test_count_charges_only_the_mertens_prefix(monkeypatch):
-    # sqrt(x) = 10954 > 10^4, while the prefix M(0..D) takes
-    # 4 * (D + 1) = 9800 bytes
+def test_count_matches_prefix_reference_random():
+    rng = random.Random(20261026)
+    cases = [(rng.randrange(10 ** rng.randrange(4, 15)), k) for k in (2, 3, 4) for _ in range(12)]
+    cases += [(rng.randrange(10**13, 10**14), k) for k in (2, 3, 4)]
+    for x, k in cases:
+        expected = mertens_prefix_count(x, k)
+        assert count_power_free_upto(x, k) == expected, (x, k)
+        if x < 10**10:
+            assert expected == mobius_count_flat(x, k), (x, k)
+
+
+def test_count_block_edges_match_both_references(monkeypatch):
+    # small blocks split the j of one M(r_m), and the v of the lookups M(r_v),
+    # between blocks
+    rng = random.Random(20261027)
+    for segment in (1, 7, rng.randrange(2, 3000)):
+        monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", segment)
+        for _ in range(8):
+            x = rng.randrange(10 ** rng.randrange(5, 10))
+            k = rng.choice((2, 2, 3, 4))
+            expected = mobius_count_flat(x, k)
+            assert mertens_prefix_count(x, k) == expected, (x, k)
+            assert count_power_free_upto(x, k) == expected, (x, k, segment)
+
+
+def _count_charge(x, k=2):
+    """The bytes count_power_free_upto charges: 40 per value held, for one
+    block's Mertens values, twice the quotients up to sqrt(r_1) and six per m
+    with r_m above D."""
+    split = max(1, integer_kth_root(x, 2 * k + 1) // MERTENS_SPLIT_DIVISOR)
+    d_max = integer_kth_root(x // split, k)
+    m_max = x // (d_max + 1) ** k
+    small = isqrt(integer_kth_root(x, k))
+    block = min(sieve.MOBIUS_SEGMENT, d_max)
+    return d_max, block, small, m_max, 40 * (block + 2 * small + 6 * m_max + 4)
+
+
+def test_count_charges_the_mertens_values_it_holds(monkeypatch):
     x = 12 * 10**7
-    d_max = integer_kth_root(x // (integer_kth_root(x, 5) // MERTENS_SPLIT_DIVISOR), 2)
-    assert integer_kth_root(x, 2) > 10**4 >= 4 * (d_max + 1) == 9800
-    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
+    d_max, block, small, m_max, charge = _count_charge(x)
+    assert (d_max, block, small, m_max) == (4898, 4898, 104, 4)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", charge)
     assert count_power_free_upto(x) == mobius_count_flat(x)
-    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 4 * (d_max + 1))
-    assert count_power_free_upto(x) == mobius_count_flat(x)
-    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 4 * (d_max + 1) - 1)
-    with pytest.raises(ResourceError, match=f"Mertens prefix up to {d_max} "):
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", charge - 1)
+    what = rf"Mertens values \(a {block}-long block, two lists up to {small}, six per m <= {m_max}\) exceeds"
+    with pytest.raises(ResourceError, match=what):
         count_power_free_upto(x)
+
+
+def test_count_runs_where_the_whole_prefix_would_not_fit(monkeypatch):
+    # The prefix M(0..D) of mertens_prefix_count, 4 * (D + 1) bytes, is more
+    # than the cap; the values held one block at a time fit under it.
+    x = 10**11
+    monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", 1000)
+    charge = _count_charge(x)[-1]
+    prefix_d = integer_kth_root(x // (integer_kth_root(x, 5) // 2), 2)
+    assert charge < 4 * (prefix_d + 1)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", charge)
+    assert count_power_free_upto(x) == mobius_count_flat(x)
+
+
+def test_count_memory_stays_below_the_whole_prefix():
+    # The prefix up to D = 563436 of mertens_prefix_count takes 2.25 MB; the
+    # count holds one block of Mertens values at a time, within its charge.
+    x = 10**14
+    count_power_free_upto(x)  # the primes it reads are memoized, not counted
+    tracemalloc.start()
+    try:
+        count_power_free_upto(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    prefix_d = integer_kth_root(x // (integer_kth_root(x, 5) // 2), 2)
+    assert 4 * (prefix_d + 1) > 2_250_000 > 2_000_000 > peak
+    assert peak <= _count_charge(x)[-1]
 
 
 def test_count_leaves_no_cyclic_garbage():
