@@ -12,11 +12,12 @@ explicit rule in a checked-in manifest.
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate, compress, count, islice
 
 from .admissible import admissible_max_exact, check_time_budget
 from .errors import BudgetError
 from .properties import named_sequence_term
-from .sieve import count_power_free_upto, kfree_window
+from .sieve import kfree_window
 
 CACHE_ENV = "KFREE_OEIS_CACHE"
 
@@ -132,23 +133,37 @@ def load_manifest(path: str | None = None) -> dict[str, ManifestRule]:
     return rules
 
 
-def _nth_squarefree(n: int) -> int:
-    """n-th squarefree number: the n-th member of one sieved window [1, 2n].
+def _squarefree_values(quantity: str, indices) -> list[int]:
+    """SF_NTH or SF_COUNT values at strictly ascending ``indices``, all read
+    from one sieved window [1, 2 * max index].
 
-    At most sum_p floor(2n / p^2) <= 0.46 * 2n integers up to 2n are
-    divisible by a prime square, so at least n members lie in the window.
+    The n-th squarefree number is the window's n-th member: at most
+    sum_p floor(2n / p^2) <= 0.46 * 2n integers up to 2n are divisible by a
+    prime square, so at least n members lie in the window.  The count below
+    n is the number of flags before n.  A window past the byte cap raises
+    ResourceError before any prime is requested.
     """
-    if n < 1:
+    if indices[0] < 1:
         raise ValueError("index must be >= 1")
-    return kfree_window(1, 2 * n).members()[n - 1]
+    flags = kfree_window(1, 2 * indices[-1]).flags
+    # the value at n is entry n - 1 of ``running``
+    running = compress(count(1), flags) if quantity == SF_NTH else accumulate(flags, initial=0)
+    values, taken = [], 0
+    for n in indices:
+        values.append(next(islice(running, n - 1 - taken, None)))
+        taken = n
+    return values
 
 
 def computed_value(rule: ManifestRule, index: int, time_budget: float | None = None):
-    if rule.quantity == SF_COUNT:
-        # counts k-free numbers strictly below the index
-        return count_power_free_upto(index - 1)
-    if rule.quantity == SF_NTH:
-        return _nth_squarefree(index)
+    """The quantity ``rule`` names, at one b-file index.
+
+    SF_NTH and SF_COUNT read the window [1, 2 * index], as crosscheck reads
+    one window for all of a b-file's indices.  An A_OF_X search that cannot
+    prove its value within ``time_budget`` raises BudgetError.
+    """
+    if rule.quantity in (SF_NTH, SF_COUNT):
+        return _squarefree_values(rule.quantity, [index])[0]
     if rule.quantity == A_OF_X:
         result = admissible_max_exact(index, time_budget=time_budget)
         if not result.is_exact:
@@ -203,18 +218,18 @@ def crosscheck(
         return CrosscheckReport(bfile.sequence_id, rule.quantity, (), (), ())
     lo = rule.index_start if index_range is None else max(rule.index_start, index_range[0])
     hi = bfile.last_index if index_range is None else min(bfile.last_index, index_range[1])
-    checked, mismatches, skipped = [], [], []
-    for index in sorted(bfile.entries):
-        if index < rule.index_start:
-            skipped.append(index)
-            continue
-        if not lo <= index <= hi:
-            continue
-        expected = bfile.entries[index]
-        actual = computed_value(rule, index, time_budget)
-        checked.append(index)
-        if actual != expected:
-            mismatches.append((index, expected, actual))
+    indices = sorted(bfile.entries)
+    skipped = [index for index in indices if index < rule.index_start]
+    checked = [index for index in indices if lo <= index <= hi]
+    if rule.quantity in (SF_NTH, SF_COUNT):
+        values = _squarefree_values(rule.quantity, checked) if checked else []
+    else:
+        values = (computed_value(rule, index, time_budget) for index in checked)
+    mismatches = [
+        (index, bfile.entries[index], actual)
+        for index, actual in zip(checked, values)
+        if actual != bfile.entries[index]
+    ]
     return CrosscheckReport(
         bfile.sequence_id,
         rule.quantity,

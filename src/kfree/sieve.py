@@ -15,9 +15,13 @@ up to a cut near 4 * end**(1/(k+1)) with :func:`translate_flags`, the strike
 kernel behind every window and translate scan in the package, and every
 integer d above the cut, up to end**(1/k), at its few multiples m * d**k.  A
 composite d only repeats a prime factor's strikes, so the flags are those of
-every prime up to end**(1/k), while the prime table stops at the cut.
-The count Q_k(x) of k-free integers up to x
-is not a sweep over [1, x]: it is the Moebius sum
+every prime up to end**(1/k), while the prime table stops at the cut.  The d
+come from two lists of k-th roots, of (start - 1) // m and of end // m for
+each m up to end / (cut+1)**k: only the m whose two roots differ have a
+multiple m * d**k in the window, and only those reach Python code.
+
+The count Q_k(x) of k-free integers up to x is not a sweep over [1, x]: it is
+the Moebius sum
 Q_k(x) = sum_d mu(d) * floor(x / d^k).  Only the d up to about x^(1/(k+1))
 are summed one by one; the larger d share their quotients and enter through
 Mertens values M(y).  mu(d) is sieved block by block up to D, about x^(2/5)
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt, log, pi, prod
-from operator import floordiv, mul, sub
+from operator import floordiv, lt, mul, sub
 
 from .errors import ResourceError
 
@@ -72,6 +76,13 @@ def integer_kth_root(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
+
+
+def _kth_roots(ns, k: int):
+    """integer_kth_root(n, k) for each n in ``ns``, lazily."""
+    if k == 2:
+        return map(isqrt, ns)
+    return map(integer_kth_root, ns, repeat(k))
 
 
 @dataclass(frozen=True)
@@ -256,13 +267,19 @@ def kfree_window(start: int, length: int, k: int = 2) -> KFreeWindow:
     end = start + length - 1
     root = integer_kth_root(end, k)
     _require_bytes(root + 1, f"prime table up to {root}")
-    # 2, 8 and 16 times end**(1/(k+1)) were slower cuts than 4 on 10^6-long
-    # windows near 10^12..10^14.
+    # On three 10^6-long windows near 10^12, 10^13 and 9 * 10^13, with the
+    # primes held, cuts of 2, 3, 4, 6 and 8 times end**(1/(k+1)) took 10.8,
+    # 8.6-8.9, 8.6, 10.0 and 11.8 ms of CPU for the three (Python 3.11,
+    # 2-core host).
     cut = min(root, 4 * integer_kth_root(end, k + 1))
     flags = translate_flags(start, length, (0,), primes_upto(cut), k)
-    for m in range(1, end // (cut + 1) ** k + 1):
-        low = max(cut + 1, integer_kth_root((start - 1) // m, k) + 1)
-        for d in range(low, integer_kth_root(end // m, k) + 1):
+    # The d struck at m * d**k lie in (root((start-1) / m), root(end / m)];
+    # most m have none, and only the others reach Python code.
+    ms = range(1, end // (cut + 1) ** k + 1)
+    lows = list(_kth_roots(map(floordiv, repeat(start - 1), ms), k))
+    highs = list(_kth_roots(map(floordiv, repeat(end), ms), k))
+    for m, low, high in compress(zip(ms, lows, highs), map(lt, lows, highs)):
+        for d in range(max(cut, low) + 1, high + 1):
             flags[m * d**k - start] = 0
     return KFreeWindow(start, length, k, bytes(flags))
 
@@ -333,13 +350,6 @@ MERTENS_SPLIT_DIVISOR = 8
 # Bytes held per value in a list of ints: the list's pointer and the int
 # object (28 bytes, allocated in 32).
 _LIST_ENTRY_BYTES = 40
-
-
-def _kth_roots(ns, k: int):
-    """integer_kth_root(n, k) for each n in ``ns``, lazily."""
-    if k == 2:
-        return map(isqrt, ns)
-    return map(integer_kth_root, ns, repeat(k))
 
 
 def _direct_terms(x: int, k: int, lo: int, mu: array) -> int:

@@ -23,7 +23,8 @@ from kfree.oeis import (
     load_bfile,
     load_manifest,
     parse_oeis_bfile,
-    _nth_squarefree,
+    SF_NTH,
+    _squarefree_values,
 )
 
 from oracles import mobius_count_flat, nth_squarefree_bisect
@@ -298,7 +299,7 @@ class TestCli:
 
 
 def test_nth_squarefree_matches_the_bisected_count():
-    assert [_nth_squarefree(n) for n in range(1, 3001)] == [nth_squarefree_bisect(n) for n in range(1, 3001)]
+    assert _squarefree_values(SF_NTH, range(1, 3001)) == [nth_squarefree_bisect(n) for n in range(1, 3001)]
 
 
 @pytest.mark.parametrize(
