@@ -47,7 +47,7 @@ from math import floor
 
 from . import sieve
 from .large_sieve import OmegaProfile, optimize_q
-from .sieve import _require_bytes, integer_kth_root, primes_upto, translate_flags
+from .sieve import _multiples_mask, _require_bytes, integer_kth_root, primes_upto, translate_flags
 
 EXACT = "EXACT"
 LOWER_BOUND = "LOWER_BOUND"
@@ -71,13 +71,12 @@ def _constraining_primes(x: int, k: int) -> list[int]:
 
 
 def _class_masks(x: int, k: int, primes) -> dict[int, list[int]]:
+    """Each class c mod p^k of [1, x] as a mask, bit a - 1 holding a; its
+    least member is c, or p^k for c = 0, and p^k <= x."""
     masks = {}
     for p in primes:
         q = p**k
-        per_class = [0] * q
-        for a in range(1, x + 1):
-            per_class[a % q] |= 1 << (a - 1)
-        masks[p] = per_class
+        masks[p] = [_multiples_mask(q, x + 1 - (c or q)) << (c or q) - 1 for c in range(q)]
     return masks
 
 

@@ -25,6 +25,7 @@ from .properties import (
     as_elements,
 )
 from .sieve import (
+    _multiples_mask,
     _require_bytes,
     RESIDUE_GROUP,
     ResidueClass,
@@ -191,15 +192,6 @@ class GreedyResult:
     skipped: tuple[GreedySkip, ...]
 
 
-def _multiples_mask(q: int, length: int) -> int:
-    """Bits 0, q, 2q, ... below ``length``."""
-    mask, span = 1, q
-    while span < length:
-        mask |= mask << span
-        span *= 2
-    return mask & ((1 << length) - 1)
-
-
 def greedy_squarefree_sums(count: int, include_diagonal: bool = True, k: int = 2) -> GreedyResult:
     """Greedily extend a set keeping every pairwise sum k-free.
 
@@ -234,25 +226,18 @@ def greedy_squarefree_sums(count: int, include_diagonal: bool = True, k: int = 2
         length = max(1, lo // 4)
         primes = primes_upto(integer_kth_root(lo + length - 1 + (terms[-1] if terms else 0), k))
         powers = [p**k for p in primes]
-        # a q below the block length strikes a class of positions, a larger
-        # one at most one position
-        wide = bisect_left(powers, length)
-        masks = [_multiples_mask(q, length) for q in powers[:wide]]
+        masks = [_multiples_mask(q, length) for q in powers]
         open_ = (1 << length) - 1
         strikes = []
         for a in terms:
             shift = -(lo + a)
             for p, q, mask in zip(primes, powers, masks):
                 first = shift % q
-                hit = mask << first & open_
-                if hit:
-                    open_ ^= hit
-                    strikes.append((first, q, a, p))
-            for p, q in zip(primes[wide:], powers[wide:]):
-                first = shift % q
-                if first < length and open_ >> first & 1:
-                    open_ ^= 1 << first
-                    strikes.append((first, q, a, p))
+                if first < length:
+                    hit = mask << first & open_
+                    if hit:
+                        open_ ^= hit
+                        strikes.append((first, q, a, p))
             if not open_:
                 break
         partners = [0] * length

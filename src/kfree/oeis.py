@@ -135,17 +135,19 @@ def load_manifest(path: str | None = None) -> dict[str, ManifestRule]:
 
 def _squarefree_values(quantity: str, indices) -> list[int]:
     """SF_NTH or SF_COUNT values at strictly ascending ``indices``, all read
-    from one sieved window [1, 2 * max index].
+    from one sieved window: [1, 2 * max index] for SF_NTH, [1, max index - 1]
+    for SF_COUNT.
 
     The n-th squarefree number is the window's n-th member: at most
     sum_p floor(2n / p^2) <= 0.46 * 2n integers up to 2n are divisible by a
     prime square, so at least n members lie in the window.  The count below
     n is the number of flags before n.  A window past the byte cap raises
-    ResourceError before any prime is requested.
+    ResourceError before any prime is requested, so SF_NTH stops near
+    index 10^8 and SF_COUNT near 2 * 10^8.
     """
     if indices[0] < 1:
         raise ValueError("index must be >= 1")
-    flags = kfree_window(1, 2 * indices[-1]).flags
+    flags = kfree_window(1, 2 * indices[-1] if quantity == SF_NTH else indices[-1] - 1).flags
     # the value at n is entry n - 1 of ``running``
     running = compress(count(1), flags) if quantity == SF_NTH else accumulate(flags, initial=0)
     values, taken = [], 0
@@ -158,9 +160,9 @@ def _squarefree_values(quantity: str, indices) -> list[int]:
 def computed_value(rule: ManifestRule, index: int, time_budget: float | None = None):
     """The quantity ``rule`` names, at one b-file index.
 
-    SF_NTH and SF_COUNT read the window [1, 2 * index], as crosscheck reads
-    one window for all of a b-file's indices.  An A_OF_X search that cannot
-    prove its value within ``time_budget`` raises BudgetError.
+    SF_NTH reads the window [1, 2 * index], SF_COUNT [1, index - 1], as
+    crosscheck does for a whole b-file.  An A_OF_X search that cannot prove
+    its value within ``time_budget`` raises BudgetError.
     """
     if rule.quantity in (SF_NTH, SF_COUNT):
         return _squarefree_values(rule.quantity, [index])[0]

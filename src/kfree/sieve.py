@@ -184,6 +184,18 @@ class KFreeWindow:
         return self.flags.count(1)
 
 
+def _multiples_mask(q: int, length: int) -> int:
+    """Bits 0, q, 2q, ... below ``length`` >= 1, as an int; just bit 0 when
+    q >= length."""
+    if q >= length:
+        return 1
+    mask, span = 1, q
+    while span < length:
+        mask |= mask << span
+        span *= 2
+    return mask & ((1 << length) - 1)
+
+
 # Consecutive p^k whose product a wide number is reduced by at once, in
 # translate_flags and in the constructions' base-point check: at a 13706-bit
 # number, groups of 16-32 were fastest, and groups of 2 or 128 about twice as
@@ -392,8 +404,8 @@ def count_power_free_upto(x: int, k: int = 2) -> int:
     What is held at once, one block's Mertens values, the M(v) up to
     sqrt(r_1) and a few values per m <= m_max, is charged at 40 bytes a value
     (a list slot and its int) against ``PRIME_TABLE_BYTE_CAP`` before any
-    prime is requested.  With nothing above D (x below about
-    (2 * MERTENS_SPLIT_DIVISOR)^(2k+1)), the sum is the plain one over d <= D.
+    prime is requested.  With m_max = 0 (k = 2 below about 10^6) that is
+    40 * (block + 2 * sqrt(r_1) + 4) bytes: 1.8 KB at x = 1000.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -403,13 +415,6 @@ def count_power_free_upto(x: int, k: int = 2) -> int:
     d_max = integer_kth_root(x // split, k)
     # the m with r_m > d_max
     m_max = x // (d_max + 1) ** k
-    if not m_max:
-        # nothing above d_max, then below about a thousand: the plain Moebius sum
-        primes = primes_upto(isqrt(d_max))
-        total = 0
-        for lo in range(1, d_max + 1, MOBIUS_SEGMENT):
-            total += _direct_terms(x, k, lo, _mobius_block(lo, min(lo + MOBIUS_SEGMENT, d_max + 1), primes))
-        return total
     # the Mertens values M(y // j) that M(r_m) reads in groups, y // j < sqrt(r_1)
     small = isqrt(integer_kth_root(x, k))
     block = min(MOBIUS_SEGMENT, d_max)

@@ -20,6 +20,7 @@ from kfree.errors import ResourceError
 from kfree.sieve import count_power_free_upto
 
 from oracles import (
+    _flat_class_masks,
     admissible_max_bnb,
     admissible_max_flat,
     forced_loss_flat,
@@ -189,6 +190,18 @@ class TestZeroBudget:
             assert set(rushed.witness) == set(_constraining_primes(x, k)), (x, k)
             assert recompute_witness_value(rushed) == rushed.value, (x, k)
             assert count_power_free_upto(x, k) <= rushed.value <= exact.value, (x, k)
+
+
+class TestClassMasks:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_masks_match_the_flat_classes(self, k):
+        # the flat oracle sets bit a for a, the search bit a - 1
+        for x in range(1, 301):
+            primes, flat = _flat_class_masks(x, k)
+            masks = _class_masks(x, k, _constraining_primes(x, k))
+            assert list(masks) == primes, x
+            for p, per_class in zip(primes, flat):
+                assert [mask << 1 for mask in masks[p]] == per_class, (x, p)
 
 
 class TestMaskByteCap:

@@ -89,7 +89,7 @@ def test_contiguous_bfile_sieves_one_window(quantity, tmp_path, monkeypatch):
     monkeypatch.setattr("kfree.sieve.count_power_free_upto", no_count)
     report = crosscheck(load_bfile(sequence_id, str(path)), load_manifest()[sequence_id])
     assert report.ok and report.checked == tuple(range(1, 20_001))
-    assert windows == [(1, 40_000)]
+    assert windows == [(1, 40_000) if quantity == SF_NTH else (1, 19_999)]
 
 
 def test_sparse_indices_match_the_per_index_oracles():
@@ -133,14 +133,15 @@ def test_computed_value_matches_the_oracles():
 
 @pytest.mark.parametrize("sequence_id", SF_IDS.values())
 def test_window_over_byte_cap_raises_before_any_prime(sequence_id, tmp_path, monkeypatch, capsys):
-    # the index 6000 needs a window of length 12000
+    # A005117 at index 6000 and A013928 at index 12001 need a window of length 12000
     monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 10**4)
 
     def no_primes(n):
         pytest.fail("primes requested for a window past the byte cap")
 
     monkeypatch.setattr("kfree.sieve.primes_upto", no_primes)
-    bfile = BFile(sequence_id, {1: 1 if sequence_id == "A005117" else 0, 6000: 9999})
+    last = 6000 if sequence_id == "A005117" else 12_001
+    bfile = BFile(sequence_id, {1: 1 if sequence_id == "A005117" else 0, last: 9999})
     with pytest.raises(ResourceError):
         crosscheck(bfile, load_manifest()[sequence_id])
     path = tmp_path / "bfile.txt"

@@ -10,6 +10,7 @@ from kfree.errors import ResourceError
 from kfree.sieve import (
     MERTENS_SPLIT_DIVISOR,
     ResidueClass,
+    _multiples_mask,
     build_prime_table,
     count_power_free_upto,
     crt_combine,
@@ -133,6 +134,16 @@ def test_count_segmentation_is_invisible(monkeypatch):
     for seg in (7, 64, 1 << 16):
         monkeypatch.setattr("kfree.sieve.MOBIUS_SEGMENT", seg)
         assert count_power_free_upto(5000, 2) == count_kfree_oracle(5000)
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 9, 25])
+def test_multiples_mask_sets_bits_0_q_2q(q):
+    # lengths below, at and above q, and far above: bit 0 alone once q >= length
+    for length in (1, q - 1, q, q + 1, 5 * q + 3, 70 * q):
+        if length >= 1:
+            expected = sum(1 << i for i in range(0, length, q))
+            assert _multiples_mask(q, length) == expected, (q, length)
+    assert _multiples_mask(q, q) == _multiples_mask(q + 10**6, q) == 1
 
 
 def test_density_main_term():
@@ -280,6 +291,22 @@ def _count_charge(x, k=2):
     return d_max, block, small, m_max, 40 * (block + 2 * small + 6 * m_max + 4)
 
 
+def test_count_switch_point_matches_both_references():
+    # Below (2 * MERTENS_SPLIT_DIVISOR)^(2k+1) the split I is 1 and no m has
+    # r_m above D (m_max = 0); from there on some do.  Both sides, and x from
+    # the whole range with m_max = 0, take the one counting path.
+    rng = random.Random(20261028)
+    for k in (2, 3, 4):
+        switch = (2 * MERTENS_SPLIT_DIVISOR) ** (2 * k + 1)
+        assert _count_charge(switch - 1, k)[3] == 0 < _count_charge(switch, k)[3]
+        cases = list(range(switch - 3, switch + 3))
+        cases += [int(switch ** rng.random()) for _ in range(20)]
+        for x in cases:
+            expected = mobius_count_flat(x, k)
+            assert mertens_prefix_count(x, k) == expected, (x, k)
+            assert count_power_free_upto(x, k) == expected, (x, k)
+
+
 def test_count_charges_the_mertens_values_it_holds(monkeypatch):
     x = 12 * 10**7
     d_max, block, small, m_max, charge = _count_charge(x)
@@ -290,6 +317,16 @@ def test_count_charges_the_mertens_values_it_holds(monkeypatch):
     what = rf"Mertens values \(a {block}-long block, two lists up to {small}, six per m <= {m_max}\) exceeds"
     with pytest.raises(ResourceError, match=what):
         count_power_free_upto(x)
+
+
+def test_small_count_is_charged_for_its_block_and_lists(monkeypatch):
+    # with m_max = 0, 40 * (31 + 2 * 5 + 4) bytes at x = 1000
+    assert _count_charge(1000) == (31, 31, 5, 0, 1800)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 1800)
+    assert count_power_free_upto(1000) == mobius_count_flat(1000)
+    monkeypatch.setattr("kfree.sieve.PRIME_TABLE_BYTE_CAP", 1799)
+    with pytest.raises(ResourceError, match=r"Mertens values \(a 31-long block"):
+        count_power_free_upto(1000)
 
 
 def test_count_runs_where_the_whole_prefix_would_not_fit(monkeypatch):
