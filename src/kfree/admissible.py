@@ -14,6 +14,13 @@ reaching the optimum, the lexicographically smallest maximizing witness
 maps optima to optima, so at the root only classes c with
 c <= (x + 1 - c) mod p^k are tried.
 
+The children of a node on the last prime are leaves, and the node scores
+them in one pass over that prime's class masks, its leaf row: in class
+order, each leaf is worth the node's survivors less its class hit.  Under
+a deadline, once a leaf is kept, the clock is read before every node and
+every leaf, so a budget stops the search at the same leaf however the
+leaves are scored.
+
 The search prunes on one lower bound for the survivors the remaining primes
 must still remove (``_forced_loss``): the largest per-prime least class hit.
 Its class scans stop early once a prime cannot raise the running maximum,
@@ -142,6 +149,12 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
     value, is that same leaf, so stopping there leaves value, witness and
     EXACT status unchanged.  The deadline is checked only once a leaf is kept.
 
+    A last-prime node scores its children in its leaf row, without a call
+    per leaf: child c is worth ``alive - (survivors & masks[p][c]).bit_count()``.
+    Under a deadline the clock is read before each child once a leaf is
+    kept, as before each node; the root's reflection rule holds in the row
+    when the root is the last prime (x = 4..8 for k = 2).
+
     A child is pruned when its survivors less a loss bound cannot beat the
     incumbent: first the free loss floor (the parent's least hit for the
     next prime less ceil(x / (q r^k))), then the exact bound
@@ -167,7 +180,7 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
             stopped = True
             return
         alive = survivors.bit_count()
-        if idx > last:
+        if idx > last:  # only a root with no constraining primes is a leaf
             if alive > best_value:
                 best_value = alive
                 best_leaf = dict(chosen)
@@ -175,6 +188,24 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
             return
         p = primes[idx]
         q = p**k
+        if idx == last:
+            # the leaf row: score each child here, in class order, reading
+            # the clock before each once a leaf is kept
+            for c, mask in enumerate(masks[p]):
+                if idx == 0 and c > (x + 1 - c) % q:
+                    continue
+                if best_leaf is not None and deadline is not None and time.monotonic() > deadline:
+                    exhausted = False
+                    stopped = True
+                    return
+                value = alive - (survivors & mask).bit_count()
+                if value > best_value:
+                    best_value = value
+                    best_leaf = {**chosen, p: c}
+                    if value == cap:
+                        stopped = True
+                        return
+            return
         hits = None  # the next prime's class hits, shared by every child
         for c in range(q):
             # the reflection of a witness using c at the root uses
@@ -183,10 +214,9 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
                 continue
             struck = survivors & masks[p][c]
             child = survivors ^ struck
-            # the children of the last prime are leaves; and the forced loss
-            # never exceeds alive, so with no leaf and no floor the bound
-            # could prune nothing and is not computed
-            if best_value >= 0 and idx < last:
+            # the forced loss never exceeds alive, so with no leaf and no
+            # floor the bound could prune nothing and is not computed
+            if best_value >= 0:
                 if hits is None:
                     r_masks = masks[primes[idx + 1]]
                     hits = [(survivors & mask).bit_count() for mask in r_masks]

@@ -35,6 +35,13 @@ def exact_upto_30():
     return {x: admissible_max_exact(x) for x in range(1, 31)}
 
 
+def _ticking_clock(monkeypatch):
+    """A clock that ticks once a read; the next tick is the number of reads."""
+    ticks = iter(range(10**9))
+    monkeypatch.setattr(admissible, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    return ticks
+
+
 class TestExact:
     def test_examples(self):
         assert admissible_max_exact(1).value == 1
@@ -157,8 +164,7 @@ class TestSweep:
         # budgeted sweep can be compared row by row with single searches;
         # a cap seeded from an EXACT A(x - 1) would make x = 9..11 EXACT here,
         # where a single search reports LOWER_BOUND
-        ticks = iter(range(10**9))
-        monkeypatch.setattr(admissible, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        _ticking_clock(monkeypatch)
         swept = admissible_max_sweep(40, 2, 5.0)
         assert swept == [admissible_max_exact(x, 2, 5.0) for x in range(1, 41)]
         assert swept[7].is_exact and swept[8].status == "LOWER_BOUND"
@@ -306,8 +312,7 @@ class TestLossFloor:
         real = admissible._forced_loss
 
         def run(overlap):
-            ticks = iter(range(10**9))
-            monkeypatch.setattr(admissible, "time", types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+            ticks = _ticking_clock(monkeypatch)
             monkeypatch.setattr(admissible, "_class_overlap", overlap)
             calls = []
             monkeypatch.setattr(admissible, "_forced_loss", lambda *args: calls.append(1) or real(*args))
@@ -318,6 +323,65 @@ class TestLossFloor:
         without = run(lambda x, q, s: x + 1)
         assert with_floor[:2] == without[:2]
         assert with_floor[2] < without[2]
+
+
+class TestLeafRow:
+    # a last-prime node scores its children in one pass over its class masks,
+    # reading the clock before each child once a leaf is kept, as a call per
+    # leaf did; the pins below are those of the search with one call per leaf
+    @pytest.mark.parametrize(
+        "x, k, reads, value",
+        [(121, 2, 614, 80), (168, 2, 618, 109), (300, 2, 2640, 192), (700, 2, 7095, 441), (200, 3, 251, 169)],
+    )
+    def test_clock_reads_and_values(self, monkeypatch, x, k, reads, value):
+        ticks = _ticking_clock(monkeypatch)
+        result = admissible_max_exact(x, k, 10.0**8)
+        assert (next(ticks), result.value, result.status) == (reads, value, "EXACT")
+
+    # budget b stops the search at the first clock read above b; at x = 42
+    # budgets 1..23 and at x = 121 budgets 1..40 stop inside a leaf row, and
+    # at x = 42 a budget of 24 or more lets the search finish
+    @pytest.mark.parametrize(
+        "x, stops",
+        [
+            (
+                42,
+                [
+                    (1, "value=28, witness={2: 0, 3: 0, 5: 0}, status='LOWER_BOUND'"),
+                    (18, "value=29, witness={2: 0, 3: 0, 5: 18}, status='LOWER_BOUND'"),
+                    (24, "value=29, witness={2: 0, 3: 0, 5: 18}, status='EXACT'"),
+                ],
+            ),
+            (
+                121,
+                [
+                    (1, "value=75, witness={2: 0, 3: 0, 5: 0, 7: 0, 11: 0}, status='LOWER_BOUND'"),
+                    (4, "value=76, witness={2: 0, 3: 0, 5: 0, 7: 0, 11: 4}, status='LOWER_BOUND'"),
+                ],
+            ),
+        ],
+    )
+    def test_deadline_inside_a_leaf_row(self, monkeypatch, x, stops):
+        for budget in range(1, 41):
+            _ticking_clock(monkeypatch)
+            fields = [tail for first, tail in stops if first <= budget][-1]
+            expected = f"AdmissibleMaxResult(x={x}, k=2, {fields})"
+            assert repr(admissible_max_exact(x, 2, float(budget))) == expected, budget
+
+    @pytest.mark.parametrize("k, reads", [(2, [1, 1, 1, 2, 3, 2, 3, 2]), (3, [1, 1, 1, 1, 1, 1, 1, 4])])
+    def test_root_as_last_prime_matches_the_flat_oracles(self, monkeypatch, k, reads):
+        # up to x = 8 the root is the last prime, or there is none, and its
+        # row reads the clock only for the classes c <= (x + 1 - c) mod p^k
+        for x in range(1, 9):
+            ticks = _ticking_clock(monkeypatch)
+            result = admissible_max_exact(x, k, 10.0**8)
+            assert result.is_exact and next(ticks) == reads[x - 1], (x, k)
+            assert result.value == admissible_max_flat(x, k), (x, k)
+            assert result.witness == lex_smallest_optimal_flat(x, k), (x, k)
+            for budget in range(0, 5):
+                _ticking_clock(monkeypatch)
+                rushed = admissible_max_exact(x, k, float(budget))
+                assert recompute_witness_value(rushed) == rushed.value <= result.value, (x, k, budget)
 
 
 class TestLowerShift:
