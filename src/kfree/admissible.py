@@ -77,6 +77,15 @@ def _constraining_primes(x: int, k: int) -> list[int]:
     return list(primes_upto(integer_kth_root(x, k)))
 
 
+def _mask_primes(x: int, k: int) -> list[int]:
+    """The constraining primes, once their class masks for x, about
+    ceil(x/8) * sum(p^k) bytes, are found within the byte cap; a larger x
+    never needs fewer bytes."""
+    primes = _constraining_primes(x, k)
+    _require_bytes(-(-x // 8) * sum(p**k for p in primes), f"class masks for x = {x}")
+    return primes
+
+
 def _class_masks(x: int, k: int, primes) -> dict[int, list[int]]:
     """Each class c mod p^k of [1, x] as a mask, bit a - 1 holding a; its
     least member is c, or p^k for c = 0, and p^k <= x."""
@@ -125,8 +134,12 @@ def admissible_max_sweep(
     the floor A(x - 1) - 1 and stops at the first leaf worth the cap
     A(x - 1) + 1.  Under a budget every x gets its own unseeded search, so
     each row, status included, is the one ``admissible_max_exact`` gives.
+    The class masks of x_max are checked against the byte cap before the
+    first search, so an x_max past it raises ResourceError at once.
     """
     check_time_budget(time_budget)
+    if x_max >= 1:
+        _mask_primes(x_max, k)
     if time_budget is not None:
         return [admissible_max_exact(x, k, time_budget) for x in range(1, x_max + 1)]
     results = []
@@ -163,8 +176,7 @@ def _search(x: int, k: int, deadline: float | None, floor_value: int, cap: int |
     """
     if x < 1:
         raise ValueError("x must be >= 1")
-    primes = _constraining_primes(x, k)
-    _require_bytes(-(-x // 8) * sum(p**k for p in primes), f"class masks for x = {x}")
+    primes = _mask_primes(x, k)
     masks = _class_masks(x, k, primes)
 
     best_value = floor_value

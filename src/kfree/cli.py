@@ -4,45 +4,22 @@ Every subcommand writes deterministic, byte-identical output for identical
 flags: all randomness sits behind an explicit --seed, reals are printed with
 10 significant digits and '.' separators, rows end with LF.  Exit codes:
 0 success, 1 computation failure or mismatch, 2 usage error.
+
+Each subcommand imports the modules it runs inside its own function, so a
+run loads those alone; building the parser imports no compute module.
 """
 
 import argparse
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from functools import cache
 
-from .admissible import (
-    admissible_max_exact,
-    admissible_max_lower_shift,
-    admissible_max_sweep,
-    admissible_max_upper_sieve,
-)
-from .constructions import (
-    DenseQState,
-    dense_q_step,
-    greedy_squarefree_sums,
-    overp_base_point,
-    overp_sequence,
-    property_p_sequence,
-    resolve_growth,
-    sample_counterexample,
-    suff_witness_search,
-)
 from .errors import KfreeError
-from .large_sieve import OmegaProfile, es_omega, optimize_q, sieve_bound, verify_sqsieve_inequality
-from .oeis import crosscheck, load_bfile, load_manifest
-from .properties import (
-    NAMED_TAGS,
-    NoWitness,
-    check_q_prefix,
-    check_squarefree_sums,
-    named_sequence_certificate,
-    named_sequence_prefix,
-)
-from .sieve import count_power_free_upto, density_main_term, primes_upto
+
+# The named test sequences of ``kfree.properties``, as --tag choices.
+NAMED_TAGS = ("A1", "A2", "A3", "A4")
 
 
 def _real(value: float) -> str:
@@ -64,6 +41,9 @@ def figure_shift_data(x_max: int, k: int = 2, time_budget: float | None = None) 
         raise ValueError("x_max must be >= 1")
     if k < 2:
         raise ValueError("k must be >= 2")
+    from .admissible import admissible_max_sweep
+    from .sieve import count_power_free_upto, density_main_term
+
     rows = []
     for result in admissible_max_sweep(x_max, k, time_budget):
         main = density_main_term(result.x, k)
@@ -82,7 +62,9 @@ def render_figure_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _profile(name: str, k: int) -> OmegaProfile:
+def _profile(name: str, k: int):
+    from .large_sieve import OmegaProfile, es_omega
+
     if name == "constant-one":
         return OmegaProfile.constant_one(k)
     if name == "es-sumfree":
@@ -92,6 +74,8 @@ def _profile(name: str, k: int) -> OmegaProfile:
 
 
 def _print_report(report, out) -> int:
+    from .properties import NoWitness
+
     if isinstance(report, NoWitness):
         print(f"no witness ({report.candidates_examined} candidates examined)", file=out)
         return 1
@@ -102,11 +86,20 @@ def _print_report(report, out) -> int:
 
 
 def _cmd_sieve_count(args, out) -> int:
+    from .sieve import count_power_free_upto
+
     print(count_power_free_upto(args.x, args.k), file=out)
     return 0
 
 
 def _cmd_admissible_max(args, out) -> int:
+    from .admissible import (
+        admissible_max_exact,
+        admissible_max_lower_shift,
+        admissible_max_sweep,
+        admissible_max_upper_sieve,
+    )
+
     rows = []
     if args.table:
         results = admissible_max_sweep(args.x, args.k, args.budget)
@@ -156,6 +149,15 @@ def _cmd_figure_shift(args, out) -> int:
 
 
 def _cmd_verify_named(args, out) -> int:
+    from .constructions import suff_witness_search
+    from .properties import (
+        check_q_prefix,
+        check_squarefree_sums,
+        named_sequence_certificate,
+        named_sequence_prefix,
+    )
+    from .sieve import primes_upto
+
     if args.mode == "terms":
         for term in named_sequence_prefix(args.tag, args.prefix):
             print(term, file=out)
@@ -190,6 +192,17 @@ def _cmd_verify_named(args, out) -> int:
 
 
 def _cmd_construct(args, out) -> int:
+    from .constructions import (
+        DenseQState,
+        dense_q_step,
+        greedy_squarefree_sums,
+        overp_base_point,
+        overp_sequence,
+        property_p_sequence,
+        resolve_growth,
+        sample_counterexample,
+    )
+
     if args.construction == "P":
         sequence = property_p_sequence(resolve_growth(args.growth), args.count)
         for term in sequence.terms:
@@ -235,6 +248,8 @@ def _cmd_construct(args, out) -> int:
 
 
 def _cmd_sieve_bound(args, out) -> int:
+    from .large_sieve import optimize_q, sieve_bound
+
     profile = _profile(args.profile, args.k)
     if args.optimize:
         q_star, bound = optimize_q(args.n, profile, range(1, args.qmax + 1))
@@ -255,6 +270,8 @@ def _index_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_crosscheck(args, out) -> int:
+    from .oeis import crosscheck, load_bfile, load_manifest
+
     rules = load_manifest(args.manifest)
     ids = args.ids or sorted(rules)
     if args.bfile and len(ids) != 1:
@@ -292,6 +309,10 @@ def random_sqsieve_instance(rng):
 
 
 def _cmd_verify_appendix(args, out) -> int:
+    import random
+
+    from .large_sieve import verify_sqsieve_inequality
+
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
     rng = random.Random(args.seed)

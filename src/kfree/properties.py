@@ -162,8 +162,6 @@ def _ceil_root(n: int, k: int) -> int:
 
 # --- the four named test sequences -----------------------------------------
 
-NAMED_TAGS = ("A1", "A2", "A3", "A4")
-
 
 def named_sequence_term(tag: str, j: int) -> int:
     """j-th term of a named sequence: A1: 2^j+1, A2: 2^j-1 (j >= 1),

@@ -67,6 +67,8 @@ def integer_kth_root(n: int, k: int) -> int:
         raise ValueError("k must be positive")
     if n < 2 or k == 1:
         return n
+    if n >> k == 0:  # 2 <= n < 2**k, tested without building 2**k
+        return 1
     if k == 2:
         return isqrt(n)
     # Integer Newton iteration seeded from above via the bit length.
@@ -286,8 +288,9 @@ def kfree_window(start: int, length: int, k: int = 2) -> KFreeWindow:
     cut = min(root, 4 * integer_kth_root(end, k + 1))
     flags = translate_flags(start, length, (0,), primes_upto(cut), k)
     # The d struck at m * d**k lie in (root((start-1) / m), root(end / m)];
-    # most m have none, and only the others reach Python code.
-    ms = range(1, end // (cut + 1) ** k + 1)
+    # most m have none, and only the others reach Python code.  With
+    # cut == root there is no such d, and (cut + 1)**k is not built.
+    ms = range(1, end // (cut + 1) ** k + 1 if cut < root else 1)
     lows = list(_kth_roots(map(floordiv, repeat(start - 1), ms), k))
     highs = list(_kth_roots(map(floordiv, repeat(end), ms), k))
     for m, low, high in compress(zip(ms, lows, highs), map(lt, lows, highs)):
@@ -411,6 +414,8 @@ def count_power_free_upto(x: int, k: int = 2) -> int:
         raise ValueError("x must be nonnegative")
     if k < 2:
         raise ValueError("k must be >= 2")
+    if x >> k == 0:  # x < 2**k: every integer up to x is k-free
+        return x
     split = max(1, integer_kth_root(x, 2 * k + 1) // MERTENS_SPLIT_DIVISOR)
     d_max = integer_kth_root(x // split, k)
     # the m with r_m > d_max

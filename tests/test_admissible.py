@@ -173,8 +173,8 @@ class TestSweep:
         from kfree import cli
 
         swept = []
-        real = cli.admissible_max_sweep
-        monkeypatch.setattr(cli, "admissible_max_sweep", lambda *args: swept.extend(real(*args)) or swept)
+        real = admissible.admissible_max_sweep
+        monkeypatch.setattr(admissible, "admissible_max_sweep", lambda *args: swept.extend(real(*args)) or swept)
         rows = cli.figure_shift_data(25, time_budget=0.0)
         assert [row.x for row in rows] == [result.x for result in swept] == list(range(1, 26))
         for row, result in zip(rows, swept):

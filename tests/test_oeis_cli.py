@@ -6,15 +6,16 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 from kfree import cli
-from kfree.admissible import admissible_max_lower_shift, admissible_max_upper_sieve
+from kfree.admissible import admissible_max_lower_shift, admissible_max_sweep, admissible_max_upper_sieve
 from kfree.cli import figure_shift_data, main, render_figure_csv
 from kfree.constructions import DenseQState, dense_q_step
-from kfree.errors import BudgetError
+from kfree.errors import BudgetError, ResourceError
 from kfree.oeis import (
     BFile,
     BFileError,
@@ -156,7 +157,7 @@ class TestFigureData:
         def no_sweep(*args):
             raise AssertionError("sweep ran")
 
-        monkeypatch.setattr(cli, "admissible_max_sweep", no_sweep)
+        monkeypatch.setattr("kfree.admissible.admissible_max_sweep", no_sweep)
         with pytest.raises(ValueError, match="k must be >= 2"):
             figure_shift_data(400, 1)
         assert run_cli(["figure-shift", "--xmax", "400", "--k", "1"]) == (1, "")
@@ -403,10 +404,21 @@ def test_repeated_main_calls_match_separate_processes(capsys):
 
 def test_cli_import_leaves_hashlib_unloaded():
     # OverPSequence.__repr__ imports hashlib where it is used, so that
-    # start-up does not load OpenSSL; only a fresh interpreter shows whether
-    # some module imports it at the top
+    # start-up does not load OpenSSL; and each subcommand imports its modules
+    # inside its own function, so building the parser loads no compute module
+    # and sieve-count loads kfree.sieve alone.  Only a fresh interpreter shows
+    # whether some module is imported at the top
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = "import sys, kfree.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    probe = (
+        "import io, sys\n"
+        "from kfree import cli\n"
+        "def loaded():\n"
+        "    return sorted(n for n in sys.modules if n.startswith('kfree') or n in ('hashlib', '_hashlib'))\n"
+        "cli.build_parser()\n"
+        "print(loaded())\n"
+        "cli.main(['sieve-count', '--x', '1'], out=io.StringIO())\n"
+        "print(loaded())\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -414,7 +426,10 @@ def test_cli_import_leaves_hashlib_unloaded():
         text=True,
         check=True,
     )
-    assert result.stdout == "[]\n"
+    assert result.stdout.splitlines() == [
+        "['kfree', 'kfree.cli', 'kfree.errors']",
+        "['kfree', 'kfree.cli', 'kfree.errors', 'kfree.sieve']",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -458,6 +473,39 @@ def test_admissible_max_over_mask_byte_cap_exits_1(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: class masks") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sieve-count", "--x", "5", "--k", "999999999999"], "5\n"),
+        (["admissible-max", "--x", "5", "--k", "999999999999"], "x,value,status,witness\n5,5,EXACT,\n"),
+    ],
+)
+def test_huge_exponent_on_tiny_input_answers_at_once(argv, expected, capsys):
+    # below 2**k every integer is k-free, and 2**k is never built
+    start = time.monotonic()
+    code, text = run_cli(argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, text, capsys.readouterr().err) == (0, expected, "")
+
+
+def test_sweep_past_mask_byte_cap_fails_before_the_first_search(monkeypatch, capsys):
+    # the class masks grow with x, so the cap is checked once, at x_max
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr("kfree.admissible._search", no_search)
+    start = time.monotonic()
+    code, text = run_cli(["figure-shift", "--xmax", "999999999999"])
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: class masks for x = 999999999999") and "Traceback" not in err
+    start = time.monotonic()
+    with pytest.raises(ResourceError, match="class masks for x = 999999999999"):
+        admissible_max_sweep(999999999999)
+    assert time.monotonic() - start < 1.0
 
 
 def test_non_integer_trials_exits_2():

@@ -1,6 +1,8 @@
 import gc
 import random
+import time
 import tracemalloc
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -69,6 +71,36 @@ def test_integer_kth_root():
         for k in (2, 3, 5, 7):
             r = integer_kth_root(n, k)
             assert r**k <= n < (r + 1) ** k
+
+
+def test_integer_kth_root_matches_brute_force_below_2_12():
+    # k runs past n.bit_length(), where 2 <= n < 2**k and the root is 1
+    for k in range(1, 15):
+        powers = []
+        j = 0
+        while j**k < 1 << 12:
+            powers.append(j**k)
+            j += 1
+        for n in range(1 << 12):
+            if k <= n.bit_length() + 2:
+                assert integer_kth_root(n, k) == bisect_right(powers, n) - 1, (n, k)
+
+
+def test_count_is_x_below_the_first_kth_power():
+    for k in range(2, 21):
+        assert count_power_free_upto(2**k - 1, k) == 2**k - 1
+        assert count_power_free_upto(2**k, k) == 2**k - 1
+
+
+def test_huge_exponent_on_tiny_input_builds_no_huge_power():
+    # a power of 2 as long as k would take about k / 8 bytes: 125 GB here
+    k = 10**12
+    start = time.monotonic()
+    assert integer_kth_root(5, k) == 1
+    assert count_power_free_upto(5, k) == 5
+    assert count_power_free_upto(5, 3000) == 5
+    assert kfree_window(1, 5, k).flags == b"\x01" * 5
+    assert time.monotonic() - start < 1.0
 
 
 def test_is_power_free_examples():
