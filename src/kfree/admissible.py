@@ -357,11 +357,20 @@ def admissible_max_lower_shift(x: int, k: int = 2, *, shifts) -> tuple[int, int]
 
 def admissible_max_upper_sieve(x: int, k: int = 2) -> int:
     """Large sieve upper bound for the window maximum, minimized over Q up to
-    ceil(x^(1/(2k+1))) + 2 with one avoided class per prime."""
+    ceil(x^(1/(2k+1))) + 2 with one avoided class per prime.
+
+    For x < 2^k only Q = 1 is tried: it gives x + 1, and every Q >= 2 gives
+    at least (x + 4^k) / zeta(k) >= x + 1, so Q^(2k) is never built for a
+    huge k.
+    """
     if x < 1:
         raise ValueError("x must be >= 1")
-    root = integer_kth_root(x, 2 * k + 1)
-    if root ** (2 * k + 1) < x:
-        root += 1
-    _, bound = optimize_q(x, OmegaProfile.constant_one(k), range(1, root + 3))
+    if x >> k == 0:
+        q_range = (1,)
+    else:
+        root = integer_kth_root(x, 2 * k + 1)
+        if root ** (2 * k + 1) < x:
+            root += 1
+        q_range = range(1, root + 3)
+    _, bound = optimize_q(x, OmegaProfile.constant_one(k), q_range)
     return floor(bound)

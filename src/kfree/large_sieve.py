@@ -9,22 +9,28 @@ classes mod p^k for every prime is
     h(q) = mu^2(q) * prod_{p | q} omega(p^k) / (p^k - omega(p^k)).
 
 With k = 1 this is the classical arithmetic form; the window offset plays no
-role in the value and is therefore not a parameter.  All h arithmetic is done
-in exact rationals; floating point appears only in the Fourier verification.
+role in the value and is therefore not a parameter.  All h arithmetic is exact:
+the weights are sieved as pairs of integers, numerators and denominators, each
+prime multiplying a slice of each list at C speed, and the sums are added on
+those pairs, so only each result becomes a Fraction.  Floating point appears
+only in the Fourier verification.
 """
 
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import compress, repeat
+from math import gcd
+from operator import add, floordiv, mul
 from typing import Callable, Mapping
 
 from .sieve import _require_bytes, primes_upto
 
 VERIFY_TOLERANCE = 1e-9
 
-# Bytes charged per h weight against the byte cap: tracemalloc peaks at about
-# 105 bytes per weight in h_sum at q_max = 10^4 and 10^5.
+# Bytes charged per h weight against the byte cap.  tracemalloc peaks, per
+# weight, at q_max = 10^4 and 10^5 (CONSTANT_ONE / ES_SUMFREE): h_sum 76-79 /
+# 91-92, optimize_q over 1..q_max 49-50 / 68-69, h_weights_upto 65 / 84.
 _WEIGHT_BYTES = 120
 
 
@@ -71,11 +77,6 @@ class OmegaProfile:
         return cls(2, es_omega, "ES_SUMFREE")
 
 
-def _h_factor(p: int, profile: OmegaProfile) -> Fraction:
-    omega = profile.omega(p)
-    return Fraction(omega, p**profile.k - omega)
-
-
 def _require_weight_bytes(q_max: int, k: int) -> None:
     """Refuse, past the byte cap, the h weights up to Q and Q^(2k), which
     takes about 2k * ceil(log2 Q) / 8 bytes and outgrows every p^k, p <= Q."""
@@ -83,39 +84,70 @@ def _require_weight_bytes(q_max: int, k: int) -> None:
     _require_bytes(2 * k * (q_max - 1).bit_length() // 8, f"Q^(2k) for Q = {q_max}, k = {k}")
 
 
-def h_weights_upto(q_max: int, profile: OmegaProfile) -> list[Fraction]:
-    """[h(1), h(2), ..., h(q_max)], sieved with the primes from
-    :func:`~kfree.sieve.primes_upto`.
+def _h_pairs(q_max: int, profile: OmegaProfile) -> tuple[list[int], list[int]]:
+    """Numerators and denominators of h(1), ..., h(q_max), sieved with the
+    primes from :func:`~kfree.sieve.primes_upto`, not in lowest terms.
 
-    Each prime p, in ascending order, multiplies the nonzero weights at its
-    multiples by its factor and zeroes those at the multiples of p^2.  Each
-    weight (a Fraction and its two ints) is charged 120 bytes, and a list
-    past the byte cap, or a Q^(2k) past it, raises ResourceError before
-    anything is allocated.
+    Each prime p, in ascending order, zeroes the numerators at the multiples
+    of p^2 and multiplies those at the multiples of p by omega(p^k), and the
+    denominators there by p^k - omega(p^k).  A zero weight keeps whatever
+    denominator its other primes gave it.  Each weight is charged 120 bytes,
+    and a list past the byte cap, or a Q^(2k) past it, raises ResourceError
+    before anything is allocated.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     _require_weight_bytes(q_max, profile.k)
-    weights = [Fraction(1)] * q_max  # weights[q - 1] = h(q)
-    zero = Fraction(0)
+    nums = [1] * q_max  # h(q) = nums[q - 1] / dens[q - 1]
+    dens = [1] * q_max
     for p in primes_upto(q_max):
-        factor = _h_factor(p, profile)
+        omega = profile.omega(p)
         square = p * p
-        weights[square - 1 :: square] = [zero] * len(range(square - 1, q_max, square))
-        weights[p - 1 :: p] = [w * factor if w else w for w in weights[p - 1 :: p]]
-    return weights
+        if square <= q_max:
+            nums[square - 1 :: square] = [0] * len(range(square - 1, q_max, square))
+        nums[p - 1 :: p] = map(mul, nums[p - 1 :: p], repeat(omega))
+        dens[p - 1 :: p] = map(mul, dens[p - 1 :: p], repeat(p**profile.k - omega))
+    return nums, dens
+
+
+def h_weights_upto(q_max: int, profile: OmegaProfile) -> list[Fraction]:
+    """[h(1), h(2), ..., h(q_max)], exact, from the sieved integer pairs
+    (see :func:`_h_pairs`, which also checks the byte cap)."""
+    nums, dens = _h_pairs(q_max, profile)
+    zero = Fraction(0)
+    # in place, dropping each pair as it is read, so that the pairs and the
+    # Fractions are never both held whole
+    for i, (num, den) in enumerate(zip(nums, dens)):
+        nums[i] = Fraction(num, den) if num else zero
+        dens[i] = None
+    return nums
 
 
 def h_sum(q_max: int, profile: OmegaProfile) -> Fraction:
-    """sum_{q <= q_max} h(q), exact; pairwise reduction keeps the big
-    common-denominator additions near the root of the tree."""
-    weights = h_weights_upto(q_max, profile)
-    while len(weights) > 1:
-        weights = [
-            weights[i] + weights[i + 1] if i + 1 < len(weights) else weights[i]
-            for i in range(0, len(weights), 2)
-        ]
-    return weights[0]
+    """sum_{q <= q_max} h(q), exact.
+
+    The nonzero weights are added pairwise on integer pairs, so the big
+    common-denominator additions stay near the root of the tree, and each
+    addition takes Henrici's two gcds: of the denominators, then of that
+    with the new numerator.  Only the root becomes a Fraction.
+    """
+    nums, dens = _h_pairs(q_max, profile)
+    dens = list(compress(dens, nums))
+    nums = list(compress(nums, nums))
+    while len(nums) > 1:
+        if len(nums) % 2:
+            nums.append(0)
+            dens.append(1)
+        # n1/d1 + n2/d2 = (n1 * (d2/g) + n2 * (d1/g)) / (d1/g * d2), g = gcd(d1, d2),
+        # and only a factor g2 of g can divide that sum's numerator
+        left, right = dens[0::2], dens[1::2]
+        g = list(map(gcd, left, right))
+        left = list(map(floordiv, left, g))
+        tops = list(map(add, map(mul, nums[0::2], map(floordiv, right, g)), map(mul, nums[1::2], left)))
+        g = list(map(gcd, tops, g))
+        nums = list(map(floordiv, tops, g))
+        dens = list(map(mul, left, map(floordiv, right, g)))
+    return Fraction(nums[0], dens[0])
 
 
 def sieve_bound(n_length: int, q_max: int, profile: OmegaProfile) -> Fraction:
@@ -133,28 +165,37 @@ def optimize_q(n_length: int, profile: OmegaProfile, q_range) -> tuple[int, Frac
     Each Q is checked to be at least 1 and within the byte cap as it is read,
     so a q_range reaching past the cap raises ResourceError before it is held.
     """
-    distinct = set()
+    asked = bytearray()  # asked[q] = 1 for each Q in q_range
     for q in q_range:
         if n_length < 1 or q < 1:
             raise ValueError("window length and Q must be >= 1")
         _require_weight_bytes(q, profile.k)
-        distinct.add(q)
-    if not distinct:
+        if q >= len(asked):
+            asked += bytes(q + 1 - len(asked))
+        asked[q] = 1
+    if not asked:
         raise ValueError("q_range must be nonempty")
-    q_values = sorted(distinct)
-    weights = h_weights_upto(q_values[-1], profile)
-    partial = Fraction(0)
+    nums, dens = _h_pairs(len(asked) - 1, profile)
+    # the running sum and the best bound so far, as integer pairs
+    top, bottom = 0, 1
     position = 0
-    best: tuple[int, Fraction] | None = None
+    best: tuple[int, int, int] | None = None
     exponent = 2 * profile.k
-    for q in q_values:
-        while position < q:
-            partial += weights[position]
-            position += 1
-        bound = Fraction(n_length + q**exponent) / partial
-        if best is None or bound < best[1]:
-            best = (q, bound)
-    return best
+    for q in compress(range(len(asked)), asked):
+        for num, den in zip(nums[position:q], dens[position:q]):
+            if num:
+                g = gcd(bottom, den)
+                bottom //= g
+                top = top * (den // g) + num * bottom
+                g = gcd(top, g)
+                top //= g
+                bottom *= den // g
+        position = q
+        bound_top = (n_length + q**exponent) * bottom
+        if best is None or bound_top * best[2] < best[1] * top:
+            best = (q, bound_top, top)
+    q, bound_top, bound_bottom = best
+    return q, Fraction(bound_top, bound_bottom)
 
 
 @dataclass(frozen=True)

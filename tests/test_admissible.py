@@ -17,6 +17,7 @@ from kfree.admissible import (
     recompute_witness_value,
 )
 from kfree.errors import ResourceError
+from kfree.large_sieve import optimize_q
 from kfree.sieve import count_power_free_upto
 
 from oracles import (
@@ -472,6 +473,21 @@ class TestUpperSieve:
         assert admissible_max_upper_sieve(100) == 87
         assert admissible_max_upper_sieve(1) == 2
         assert admissible_max_upper_sieve(10) >= 8
+
+    def test_below_two_to_the_k_only_q_one_is_tried(self, monkeypatch):
+        # Q = 1 gives x + 1, and every Q >= 2 at least (x + 4^k) / zeta(k)
+        for k in range(2, 6):
+            for x in range(1, 2**k):
+                assert admissible_max_upper_sieve(x, k) == x + 1, (x, k)
+        asked = []
+
+        def spy(n_length, profile, q_range):
+            asked.append(list(q_range))
+            return optimize_q(n_length, profile, asked[-1])
+
+        monkeypatch.setattr(admissible, "optimize_q", spy)
+        assert admissible_max_upper_sieve(3, 2) == 4 and asked == [[1]]
+        assert admissible_max_upper_sieve(4, 2) == 5 and asked[-1] == [1, 2, 3, 4]
 
     def test_sandwich(self, exact_upto_30):
         for x, result in exact_upto_30.items():

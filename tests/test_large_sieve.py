@@ -1,11 +1,14 @@
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from kfree.errors import ResourceError
 from kfree.large_sieve import (
+    _WEIGHT_BYTES,
     OmegaProfile,
     es_omega,
     h_sum,
@@ -21,6 +24,9 @@ from oracles import h_weight, sqsieve_flat
 
 CONSTANT_ONE = OmegaProfile.constant_one(2)
 ES = OmegaProfile.es_sumfree()
+ZERO_AT_3 = OmegaProfile(2, lambda p: 0 if p == 3 else 1, "ZERO_AT_3")
+# ES's products are not in lowest terms (h(77) = 25/24 * 61/60 shares a 5)
+PROFILES = (CONSTANT_ONE, ES, OmegaProfile.constant_one(3), OmegaProfile.constant_one(1), ZERO_AT_3)
 
 
 class TestHWeight:
@@ -35,8 +41,7 @@ class TestHWeight:
         assert h_weight(3, ES) == Fraction(5, 4)
 
     def test_sieved_weights_match_direct(self):
-        zero_at_3 = OmegaProfile(2, lambda p: 0 if p == 3 else 1, "ZERO_AT_3")
-        for profile in (CONSTANT_ONE, ES, OmegaProfile.constant_one(3), OmegaProfile.constant_one(1), zero_at_3):
+        for profile in PROFILES:
             weights = h_weights_upto(300, profile)
             for q in range(1, 301):
                 assert weights[q - 1] == h_weight(q, profile), (q, profile.name)
@@ -73,6 +78,23 @@ class TestHWeight:
         with pytest.raises(ResourceError, match="h weights up to 84 "):
             optimize_q(100, CONSTANT_ONE, range(1, 10**12))
 
+    @pytest.mark.parametrize("profile", [CONSTANT_ONE, ES], ids=lambda p: p.name)
+    def test_peak_memory_stays_within_the_weight_charge(self, profile):
+        q_max = 10**4
+        calls = (
+            lambda: h_weights_upto(q_max, profile),
+            lambda: h_sum(q_max, profile),
+            lambda: optimize_q(10**6, profile, range(1, q_max + 1)),
+        )
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _WEIGHT_BYTES * q_max
+
     def test_multiplicative_on_coprime_squarefree(self):
         weights = h_weights_upto(10_000, CONSTANT_ONE)
         for q1 in range(1, 101):
@@ -104,6 +126,25 @@ class TestHSum:
             partial += w
             gap = target - float(partial)
             assert 0 < gap <= 4 / q, q
+
+    def test_matches_flat_sum_of_trial_division_weights(self):
+        rng = random.Random(3401)
+        for profile in PROFILES:
+            for q_max in sorted(rng.sample(range(1, 401), 12)) + [1, 2, 77, 400]:
+                flat = sum(h_weight(q, profile) for q in range(1, q_max + 1))
+                assert h_sum(q_max, profile) == flat, (q_max, profile.name)
+
+    # sha256 of the reprs of h_sum(300), ..., h_sum(320), one per line, as
+    # the Fraction sieve gave them before the sums moved to integer pairs
+    PINNED_REPRS_SHA256 = {
+        CONSTANT_ONE: "eed95c19747d7022a5c0fd305d6f2742f908431825cabd48cb3c8eb126d70829",
+        ES: "e3be005e84d7fdb00e2a1fffc2423b3e2a6fe3e6ba068130a154a4a4f394d31a",
+    }
+
+    @pytest.mark.parametrize("profile", [CONSTANT_ONE, ES], ids=lambda p: p.name)
+    def test_reprs_match_pinned_digests(self, profile):
+        text = "\n".join(repr(h_sum(q, profile)) for q in range(300, 321))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED_REPRS_SHA256[profile]
 
     def test_order_independence(self):
         weights = h_weights_upto(200, CONSTANT_ONE)
@@ -148,6 +189,32 @@ class TestSieveBound:
         profile = CONSTANT_ONE
         q_star, bound = optimize_q(100, profile, [2, 2, 2])
         assert q_star == 2 and bound == 87
+
+    def test_optimize_ties_between_distinct_q_go_to_the_smaller(self):
+        # (44 + 1) / 1 = (44 + 2^4) / (1 + 1/3) and (2 + 1) / 1 = (2 + 2^2) / (1 + 1/1)
+        for n_length, profile in ((44, CONSTANT_ONE), (2, OmegaProfile.constant_one(1))):
+            assert sieve_bound(n_length, 1, profile) == sieve_bound(n_length, 2, profile)
+            for q_range in ([1, 2], [2, 1], range(2, 0, -1), [2, 1, 2]):
+                assert optimize_q(n_length, profile, q_range) == (1, n_length + 1)
+
+    def test_optimize_matches_flat_bounds(self):
+        rng = random.Random(3402)
+        for profile in PROFILES:
+            weights = [h_weight(q, profile) for q in range(1, 401)]
+            for _ in range(6):
+                n_length = rng.choice((1, 10**3, 10**5, 5 * 10**6, 10**9))
+                q_range = [rng.randrange(1, 401) for _ in range(rng.randrange(1, 30))]
+                bounds = {q: (n_length + q ** (2 * profile.k)) / sum(weights[:q]) for q in q_range}
+                best = min(bounds.values())
+                expected = min(q for q, bound in bounds.items() if bound == best)
+                assert optimize_q(n_length, profile, q_range) == (expected, best), profile.name
+
+    def test_optimize_pinned_results(self):
+        # as the Fraction sieve gave them before the sums moved to integer pairs
+        assert optimize_q(10**7, ES, range(1, 221)) == (42, Fraction(1150944674880, 4649213))
+        assert optimize_q(5 * 10**6, ES, range(1, 211)) == (38, Fraction(710780843520, 4694179))
+        assert optimize_q(10**5, CONSTANT_ONE, range(1, 201)) == (7, Fraction(1638416, 25))
+        assert optimize_q(10**6, OmegaProfile.constant_one(3), range(1, 101)) == (3, Fraction(182132678, 215))
 
     def test_es_bound_order(self):
         # the pairwise-sum profile should give roughly N^(3/4) at this scale

@@ -406,14 +406,15 @@ def test_cli_import_leaves_hashlib_unloaded():
     # OverPSequence.__repr__ imports hashlib where it is used, so that
     # start-up does not load OpenSSL; and each subcommand imports its modules
     # inside its own function, so building the parser loads no compute module
-    # and sieve-count loads kfree.sieve alone.  Only a fresh interpreter shows
-    # whether some module is imported at the top
+    # and sieve-count loads kfree.sieve alone, without the large sieve's
+    # fractions.  Only a fresh interpreter shows whether some module is
+    # imported at the top
     src = os.path.dirname(os.path.dirname(cli.__file__))
     probe = (
         "import io, sys\n"
         "from kfree import cli\n"
         "def loaded():\n"
-        "    return sorted(n for n in sys.modules if n.startswith('kfree') or n in ('hashlib', '_hashlib'))\n"
+        "    return sorted(n for n in sys.modules if n.startswith('kfree') or n in ('hashlib', '_hashlib', 'fractions'))\n"
         "cli.build_parser()\n"
         "print(loaded())\n"
         "cli.main(['sieve-count', '--x', '1'], out=io.StringIO())\n"
@@ -480,6 +481,10 @@ def test_admissible_max_over_mask_byte_cap_exits_1(capsys):
     [
         (["sieve-count", "--x", "5", "--k", "999999999999"], "5\n"),
         (["admissible-max", "--x", "5", "--k", "999999999999"], "x,value,status,witness\n5,5,EXACT,\n"),
+        (
+            ["admissible-max", "--x", "5", "--k", "999999999999", "--bounds"],
+            "x,value,status,witness,lower_shift,upper_sieve\n5,5,EXACT,,5,6\n",
+        ),
     ],
 )
 def test_huge_exponent_on_tiny_input_answers_at_once(argv, expected, capsys):

@@ -14,7 +14,7 @@ from kfree.properties import (
     named_sequence_prefix,
     property_p_evidence,
 )
-from kfree.sieve import NARROW_SHIFT_BITS, RESIDUE_GROUP, translate_flags
+from kfree.sieve import NARROW_SHIFT_BITS, RESIDUE_GROUP, WHEEL_MIN_COUNT, WHEEL_SPAN, translate_flags
 
 from oracles import kfree_by_factorization, translate_free_flags, trial_division_primes
 
@@ -96,6 +96,58 @@ class TestTranslateFlags:
     def test_step_sharing_a_listed_prime_is_refused(self):
         with pytest.raises(ValueError):
             translate_flags(1, 10, (0,), (2, 3), 2, step=4)
+
+    # The wheel: the leading listed primes whose p^k multiply to at most
+    # WHEEL_SPAN strike one period of that product, which tiles every window
+    # of at least WHEEL_MIN_COUNT entries.
+    @staticmethod
+    def _span(primes, k):
+        span = 1
+        for p in primes:
+            if span * p**k > WHEEL_SPAN:
+                break
+            span *= p**k
+        return span
+
+    @staticmethod
+    def _elements(rng):
+        # the first two share their class mod 4 and mod 9; the last is wide
+        a = rng.randrange(400)
+        return [a, a + 36, rng.randrange(400), (1 << (NARROW_SHIFT_BITS + 76)) + rng.randrange(400)]
+
+    def test_wheel_spans(self):
+        assert self._span(SMALL_PRIMES, 2) == 4 * 9 * 25
+        assert self._span(SMALL_PRIMES, 3) == 8 * 27
+        assert self._span(SMALL_PRIMES[2:], 2) == 25
+
+    def test_windows_around_the_wheel_span(self, monkeypatch):
+        monkeypatch.setattr("kfree.sieve.WHEEL_MIN_COUNT", 1)
+        rng = random.Random(3403)
+        for k in (2, 3):
+            # a primorial step drops the leading primes, and the span with them
+            for step in (1, 5**k, 2**k * 3**k):
+                primes = [p for p in SMALL_PRIMES[:25] if step % p]
+                span = self._span(primes, k)
+                for count in (span - 1, span, span + 1, 2 * span + 1):
+                    for lo in (1, rng.randrange(2, 10**6), -(10**6)):
+                        self._check(lo, count, self._elements(rng), primes, k, step)
+
+    def test_windows_around_the_wheel_turn_on_length(self):
+        rng = random.Random(3404)
+        for k in (2, 3):
+            for step in (1, 5**k):
+                primes = [p for p in SMALL_PRIMES[:10] if step % p]
+                for count in (WHEEL_MIN_COUNT - 1, WHEEL_MIN_COUNT, WHEEL_MIN_COUNT + 1):
+                    self._check(rng.randrange(1, 10**9), count, self._elements(rng)[:2], primes, k, step)
+
+    def test_long_windows_repeat_the_wheel_period(self):
+        # every entry of a long window equals the entry one period earlier
+        # for the wheel primes alone
+        for k, primes in ((2, (2, 3, 5)), (3, (2, 3))):
+            span = self._span(primes, k)
+            flags = translate_flags(17, WHEEL_MIN_COUNT + span, (0, 36, 5), primes, k)
+            assert flags[span:] == flags[: len(flags) - span]
+            assert flags[:span] == translate_flags(17, span, (0, 36, 5), primes, k)
 
 
 class TestCheckedTo:
